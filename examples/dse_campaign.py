@@ -31,9 +31,7 @@ six-node space (or ``RandomSearch``, which draws its distinct genotypes
 lazily) holds only the running front plus one chunk in memory —
 ``max_configurations`` is a soft threshold that warns
 (``ExhaustiveCapWarning``) and proceeds, a time-cost reminder rather
-than a memory guard.  Pass ``run_algorithm(..., array_backend="cupy")``
-(or any ``repro.core.array_backend.register_backend``-ed name) to
-compute the column kernels on another array library.
+than a memory guard.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol, runtime_checkable
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 __all__ = [
     "ResourceUsage",

@@ -30,7 +30,7 @@ import abc
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, runtime_checkable
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 __all__ = [
     "MACQuantities",
@@ -147,15 +147,9 @@ class VectorizedMACModel(Protocol):
     table through a ``mac_index`` column (one table row index per candidate).
     Implementations must mirror the scalar methods operation for operation so
     the vectorized fast path stays floating-point-identical.
-
-    Every kernel accepts the ``xp`` array namespace resolved through the
-    backend seam (:mod:`repro.core.array_backend`) as a keyword argument —
-    the compiled design-space kernel threads the namespace it was compiled
-    for, so MAC kernels run on the same backend as the rest of the column
-    pipeline.
     """
 
-    def compile_mac_table(self, mac_configs: Sequence[Any], **kwargs: Any) -> Any:
+    def compile_mac_table(self, mac_configs: Sequence[Any]) -> Any:
         """Precompute per-configuration columns for the distinct configs."""
         ...  # pragma: no cover - protocol
 
@@ -164,7 +158,6 @@ class VectorizedMACModel(Protocol):
         output_stream_bytes_per_second: np.ndarray,
         mac_table: Any,
         mac_index: np.ndarray,
-        **kwargs: Any,
     ) -> MACQuantityColumns:
         """Evaluate ``Omega`` and ``Psi`` for one node over a batch."""
         ...  # pragma: no cover - protocol
@@ -174,7 +167,6 @@ class VectorizedMACModel(Protocol):
         slot_counts: np.ndarray,
         mac_table: Any,
         mac_index: np.ndarray,
-        **kwargs: Any,
     ) -> np.ndarray:
         """Per-node worst-case delays, shape ``(batch, nodes)``."""
         ...  # pragma: no cover - protocol

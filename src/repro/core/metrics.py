@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Literal, Sequence
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 __all__ = [
     "balanced_aggregate",
@@ -57,8 +56,6 @@ def balanced_aggregate(values: Sequence[float], theta: float = 1.0) -> float:
 def balanced_aggregate_columns(
     value_columns: Sequence[np.ndarray],
     theta: float = 1.0,
-    *,
-    xp: ModuleType = np,
 ) -> np.ndarray:
     """Column-wise :func:`balanced_aggregate` over per-node value columns.
 
@@ -66,8 +63,6 @@ def balanced_aggregate_columns(
         value_columns: one column per node, each holding one value per
             candidate of the batch.
         theta: non-negative weight of the balance term.
-        xp: array namespace resolved through the backend seam
-            (:mod:`repro.core.array_backend`); defaults to NumPy.
 
     The accumulation order matches the scalar aggregate exactly (left-to-right
     over nodes), so the result column is floating-point-identical to
@@ -79,18 +74,18 @@ def balanced_aggregate_columns(
     if not columns:
         raise ValueError("value_columns must not be empty")
     count = len(columns)
-    total = xp.zeros_like(columns[0])
+    total = np.zeros_like(columns[0])
     for column in columns:
         total = total + column
     mean = total / count
     if count == 1 or theta == 0.0:
         return mean
-    squares = xp.zeros_like(mean)
+    squares = np.zeros_like(mean)
     for column in columns:
         delta = column - mean
         squares = squares + delta * delta
     variance = squares / (count - 1)
-    return mean + theta * xp.sqrt(variance)
+    return mean + theta * np.sqrt(variance)
 
 
 def network_delay_metric(
@@ -110,8 +105,6 @@ def network_delay_metric(
 def network_delay_metric_columns(
     delay_columns: Sequence[np.ndarray],
     mode: Literal["max", "mean"] = "max",
-    *,
-    xp: ModuleType = np,
 ) -> np.ndarray:
     """Column-wise :func:`network_delay_metric` over per-node delay columns."""
     columns = list(delay_columns)
@@ -120,10 +113,10 @@ def network_delay_metric_columns(
     if mode == "max":
         result = columns[0]
         for column in columns[1:]:
-            result = xp.maximum(result, column)
+            result = np.maximum(result, column)
         return result
     if mode == "mean":
-        total = xp.zeros_like(columns[0])
+        total = np.zeros_like(columns[0])
         for column in columns:
             total = total + column
         return total / len(columns)

@@ -9,9 +9,8 @@ millijoule per second).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import ModuleType
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 from repro.core.application import ResourceUsage
 from repro.core.mac_abstraction import MACQuantities, MACQuantityColumns
@@ -143,11 +142,9 @@ class MemoryModel:
         self,
         accesses_per_second: np.ndarray,
         memory_bytes: np.ndarray,
-        *,
-        xp: ModuleType = np,
     ) -> np.ndarray:
         """Column-wise :meth:`energy_per_second` (same operation order)."""
-        active_fraction = xp.minimum(1.0, accesses_per_second * self.access_time_s)
+        active_fraction = np.minimum(1.0, accesses_per_second * self.access_time_s)
         dynamic = active_fraction * self.access_power_w
         leakage = (
             (1.0 - active_fraction) * 8.0 * memory_bytes * self.idle_power_per_bit_w
@@ -315,8 +312,6 @@ class NodeEnergyModel:
         memory_bytes: float | np.ndarray,
         output_stream_bytes_per_second: np.ndarray,
         mac: MACQuantityColumns,
-        *,
-        xp: ModuleType = np,
     ) -> NodeEnergyColumns:
         """Evaluate equations (3)-(7) column-wise for a batch of candidates.
 
@@ -332,7 +327,7 @@ class NodeEnergyModel:
             )
         else:
             memory_w = self.memory.energy_per_second_columns(
-                memory_accesses_per_second, memory_bytes, xp=xp
+                memory_accesses_per_second, memory_bytes
             )
         return NodeEnergyColumns(
             sensor_w=self.sensor.energy_per_second(sampling_rate_hz),

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Sequence
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 __all__ = [
     "SlotAssignment",
@@ -144,8 +143,6 @@ def assign_transmission_interval_columns(
     base_time_unit_s: np.ndarray,
     control_time_per_second: np.ndarray,
     max_assignable_time_per_second: np.ndarray,
-    *,
-    xp: ModuleType = np,
 ) -> SlotAssignmentColumns:
     """Column-wise :func:`assign_transmission_intervals` for a batch.
 
@@ -155,26 +152,24 @@ def assign_transmission_interval_columns(
         base_time_unit_s: the discretisation ``delta`` per candidate.
         control_time_per_second: ``Delta_control`` per candidate.
         max_assignable_time_per_second: protocol cap per candidate.
-        xp: array namespace resolved through the backend seam
-            (:mod:`repro.core.array_backend`); defaults to NumPy.
 
     The arithmetic mirrors the scalar solver operation for operation (same
     epsilon, same left-to-right interval summation), so the columns are
     floating-point-identical to per-candidate scalar calls.
     """
-    required = xp.asarray(required_transmission_times_s, dtype=float)
-    base = xp.asarray(base_time_unit_s, dtype=float)
-    counts = xp.where(
+    required = np.asarray(required_transmission_times_s, dtype=float)
+    base = np.asarray(base_time_unit_s, dtype=float)
+    counts = np.where(
         required > 0,
-        xp.ceil(required / base[:, None] - 1e-12),
+        np.ceil(required / base[:, None] - 1e-12),
         0.0,
     ).astype(np.int64)
     intervals = counts * base[:, None]
-    total = xp.zeros(len(required))
+    total = np.zeros(len(required))
     for column in range(intervals.shape[1]):
         total = total + intervals[:, column]
-    budget_cap = 1.0 - xp.asarray(control_time_per_second, dtype=float)
-    cap = xp.minimum(budget_cap, xp.asarray(max_assignable_time_per_second, float))
+    budget_cap = 1.0 - np.asarray(control_time_per_second, dtype=float)
+    cap = np.minimum(budget_cap, np.asarray(max_assignable_time_per_second, float))
     slack = cap - total
     feasible = (slack >= -1e-12) & (cap >= 0)
     return SlotAssignmentColumns(

@@ -52,10 +52,9 @@ from one shared copy.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
-from types import ModuleType
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.core.array_backend import backend_name, resolve_backend, xp as np
+import numpy as np
 
 from repro.core.application import VectorizedApplicationModel
 from repro.core.evaluator import NodeConfigLike, NodeDescription, WBSNEvaluator
@@ -206,14 +205,7 @@ class WbsnVectorizedKernel:
         max_assignable_time_per_second: np.ndarray,
         objective_components: tuple[str, ...],
         infeasibility_penalty: float,
-        array_namespace: ModuleType | None = None,
     ) -> None:
-        # The array-backend seam: resolved once (at compile time) and
-        # threaded through every column kernel the batch evaluation drives.
-        # Only the *name* is pickled (modules are not picklable); worker
-        # processes re-resolve the namespace on unpickle.
-        self._xp = resolve_backend(array_namespace)
-        self.backend_name = backend_name(self._xp)
         self._network = network
         self._node_plans = tuple(node_plans)
         # Nodes sharing application/platform/tables evaluate as one matrix:
@@ -256,7 +248,6 @@ class WbsnVectorizedKernel:
         domains: Sequence[Any],
         objective_components: Sequence[str] = ("energy", "quality", "delay"),
         infeasibility_penalty: float = 0.0,
-        backend: str | ModuleType | None = None,
     ) -> "WbsnVectorizedKernel":
         """Compile a network and a design-space layout into a kernel.
 
@@ -280,12 +271,6 @@ class WbsnVectorizedKernel:
                 ``delay`` make up the objective vector, in order.
             infeasibility_penalty: constant added to every objective of an
                 infeasible candidate (mirrors the problem layer).
-            backend: array backend for the column kernels — ``None`` for
-                the default (NumPy), a name registered with
-                :func:`repro.core.array_backend.register_backend`, or an
-                already-resolved ``xp`` namespace.  Resolved exactly once,
-                here, and threaded through every column kernel the compiled
-                evaluation drives.
 
         Raises:
             VectorizedUnsupported: when an application or the MAC protocol
@@ -297,7 +282,6 @@ class WbsnVectorizedKernel:
             raise VectorizedUnsupported(
                 f"unknown objective components: {sorted(unknown)}"
             )
-        xp = resolve_backend(backend)
         mac_protocol = network.mac_protocol
         # Column support is discovered through the protocol (the
         # ``column_kernels`` hook), never by matching concrete MAC classes:
@@ -333,9 +317,7 @@ class WbsnVectorizedKernel:
                     raise VectorizedUnsupported(
                         f"domain at position {position} is not numeric"
                     )
-                # Lookup tables live on the compile-time backend (a no-op
-                # view for NumPy, a device upload for accelerator backends).
-                columns.append((name, position, xp.asarray(table)))
+                columns.append((name, position, np.asarray(table)))
             # Phenotype lookup: one config object per combination of the
             # node's knobs, addressed by the flattened gene indices.
             cardinalities = [len(domains[pos].values) for _, pos, _ in columns]
@@ -379,15 +361,15 @@ class WbsnVectorizedKernel:
             mac_protocol.validate_config(config)
         mac_config_objects = np.empty(len(mac_configs), dtype=object)
         mac_config_objects[:] = mac_configs
-        mac_table = mac_columns.compile_mac_table(mac_configs, xp=xp)
-        base_time_unit = xp.asarray(
+        mac_table = mac_columns.compile_mac_table(mac_configs)
+        base_time_unit = np.asarray(
             [mac_protocol.base_time_unit_s(c) for c in mac_configs], dtype=float
         )
-        control_time = xp.asarray(
+        control_time = np.asarray(
             [mac_protocol.control_time_per_second(c) for c in mac_configs],
             dtype=float,
         )
-        max_assignable = xp.asarray(
+        max_assignable = np.asarray(
             [mac_protocol.max_assignable_time_per_second(c) for c in mac_configs],
             dtype=float,
         )
@@ -405,7 +387,6 @@ class WbsnVectorizedKernel:
             max_assignable_time_per_second=max_assignable,
             objective_components=tuple(objective_components),
             infeasibility_penalty=float(infeasibility_penalty),
-            array_namespace=xp,
         )
 
     # ----------------------------------------------------------------- API
@@ -441,12 +422,10 @@ class WbsnVectorizedKernel:
             index_matrix = index_matrix[cached_miss_rows(len(index_matrix), cached_mask)]
         if len(index_matrix) == 0:
             return WbsnBatchColumns.empty(self.n_objectives)
-        xp = self._xp
-        index_matrix = xp.asarray(index_matrix)
         network = self._network
         batch = len(index_matrix)
         node_count = len(self._node_plans)
-        mac_index = self._mac_flat_index(index_matrix, xp=xp)
+        mac_index = self._mac_flat_index(index_matrix)
         base_time_unit = self._base_time_unit_s[mac_index]
         control_time = self._control_time_per_second[mac_index]
         max_assignable = self._max_assignable_time_per_second[mac_index]
@@ -454,15 +433,15 @@ class WbsnVectorizedKernel:
 
         energy_columns: list[np.ndarray | None] = [None] * node_count
         quality_columns: list[np.ndarray | None] = [None] * node_count
-        required_matrix = xp.empty((batch, node_count))
-        violations = xp.zeros(batch, dtype=np.int64)
+        required_matrix = np.empty((batch, node_count))
+        violations = np.zeros(batch, dtype=np.int64)
         for members in self._node_groups:
             plan = self._node_plans[members[0]]
             description = plan.description
             # One gathered (batch, group) matrix per knob: every elementwise
             # kernel below then serves the whole group in one pass.
             config_columns = {
-                name: xp.stack(
+                name: np.stack(
                     [
                         table[index_matrix[:, position]]
                         for _, position, table in (
@@ -480,7 +459,6 @@ class WbsnVectorizedKernel:
                 app.output_stream_bytes_per_second,
                 self._mac_table,
                 mac_index[:, None],
-                xp=xp,
             )
             energy = description.energy_model.evaluate_columns(
                 sampling_rate_hz=description.sampling_rate_hz,
@@ -490,7 +468,6 @@ class WbsnVectorizedKernel:
                 memory_bytes=app.memory_bytes,
                 output_stream_bytes_per_second=app.output_stream_bytes_per_second,
                 mac=mac_quantities,
-                xp=xp,
             )
             energy_total = energy.total_w
             required = description.energy_model.radio.transmission_time_columns(
@@ -502,39 +479,37 @@ class WbsnVectorizedKernel:
                 quality_columns[node] = app.quality_loss[:, position]
                 required_matrix[:, node] = required[:, position]
             schedulable = app.duty_cycle <= 1.0
-            violations += xp.where(schedulable, 0, 1).sum(axis=1)
-            fits_memory = xp.less_equal(
+            violations += np.where(schedulable, 0, 1).sum(axis=1)
+            fits_memory = np.less_equal(
                 app.memory_bytes, description.energy_model.ram_bytes
             )
             if np.ndim(fits_memory) == 0:
                 # Constant footprint: one verdict for the whole group.
                 violations += 0 if bool(fits_memory) else len(members)
             else:
-                violations += xp.where(fits_memory, 0, 1).sum(axis=1)
+                violations += np.where(fits_memory, 0, 1).sum(axis=1)
 
         assignment = assign_transmission_interval_columns(
             required_matrix,
             base_time_unit,
             control_time,
             max_assignable,
-            xp=xp,
         )
-        violations += xp.where(assignment.feasible, 0, 1)
+        violations += np.where(assignment.feasible, 0, 1)
         delays = mac_columns.worst_case_delay_columns(
-            assignment.slot_counts, self._mac_table, mac_index, xp=xp
+            assignment.slot_counts, self._mac_table, mac_index
         )
 
         components = {
             "energy": lambda: balanced_aggregate_columns(
-                energy_columns, network.theta, xp=xp
+                energy_columns, network.theta
             ),
             "quality": lambda: balanced_aggregate_columns(
-                quality_columns, network.theta, xp=xp
+                quality_columns, network.theta
             ),
             "delay": lambda: network_delay_metric_columns(
                 [delays[:, i] for i in range(delays.shape[1])],
                 network.delay_mode,
-                xp=xp,
             ),
         }
         feasible = violations == 0
@@ -542,11 +517,11 @@ class WbsnVectorizedKernel:
             components[name]() for name in self.objective_components
         ]
         penalised = [
-            xp.where(feasible, column, column + self.infeasibility_penalty)
+            np.where(feasible, column, column + self.infeasibility_penalty)
             for column in objective_columns
         ]
         return WbsnBatchColumns(
-            objectives=xp.stack(penalised, axis=1),
+            objectives=np.stack(penalised, axis=1),
             feasible=feasible,
             violation_counts=violations,
         )
@@ -642,26 +617,11 @@ class WbsnVectorizedKernel:
 
     # ------------------------------------------------------------ internals
 
-    def _mac_flat_index(
-        self, index_matrix: np.ndarray, *, xp: ModuleType = np
-    ) -> np.ndarray:
-        flat = xp.zeros(len(index_matrix), dtype=np.int64)
+    def _mac_flat_index(self, index_matrix: np.ndarray) -> np.ndarray:
+        flat = np.zeros(len(index_matrix), dtype=np.int64)
         for position, stride in zip(self._mac_positions, self._mac_strides):
             flat += index_matrix[:, position] * stride
         return flat
-
-    def __getstate__(self) -> dict:
-        # Modules are not picklable: ship the backend *name* and re-resolve
-        # the namespace where the kernel lands (worker processes resolve
-        # against their own registry, so a worker without the backend's
-        # library fails loudly instead of silently falling back).
-        state = self.__dict__.copy()
-        del state["_xp"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._xp = resolve_backend(self.backend_name)
 
 
 def _strides(cardinalities: Sequence[int]) -> tuple[int, ...]:

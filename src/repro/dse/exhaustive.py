@@ -5,6 +5,11 @@ restricted spaces (e.g. a single node, or shared per-node settings) can be
 enumerated exactly; the resulting true Pareto front is used by the unit tests
 and by the algorithm-quality ablation to check that the heuristics do not miss
 large parts of the front.
+
+The sweep path follows the problem: ``supports_columnar`` problems are swept
+on raw columns, everything else on design objects.  The columnar chunk merge
+(:func:`_absorb_columns`), the path check (:func:`_sweeps_columnar`) and the
+checkpoint helpers are shared with :mod:`repro.dse.random_search`.
 """
 
 from __future__ import annotations
@@ -79,6 +84,69 @@ def _archive_checkpoint(
     )
 
 
+def _sweeps_columnar(
+    problem: OptimizationProblem, checkpoint_path, front_callback
+) -> bool:
+    """Which path a sweep takes: columnar whenever the problem supports it.
+
+    The object path is what remains for problems without an engine and for
+    ``record_evaluations=True`` runs, whose history needs every design
+    object.  It has no checkpoints and no per-chunk front updates, so those
+    options are rejected here, once, before any work.
+    """
+    if getattr(problem, "supports_columnar", False):
+        return True
+    if checkpoint_path is not None:
+        raise ValueError(
+            "checkpointing is only supported by the columnar sweep (an "
+            "engine-backed problem not recording its evaluations)"
+        )
+    if front_callback is not None:
+        raise ValueError(
+            "front streaming is only supported by the columnar sweep (an "
+            "engine-backed problem not recording its evaluations)"
+        )
+    return False
+
+
+def _absorb_columns(problem: OptimizationProblem, archive, any_feasible: bool, chunk):
+    """Evaluate one chunk as columns and merge it into the running archive.
+
+    Shared by the exhaustive and random sweeps.  ``archive`` is the
+    ``ColumnarBatchResult`` of the running front (``None`` while empty).
+    As long as no feasible design has been seen the archive tracks the
+    front of the infeasible designs, so an entirely infeasible space still
+    yields its best trade-offs; the first feasible design resets it, and
+    from then on only feasible designs compete.
+
+    ``prune_to_front`` lets a worker-pruning backend drop each shard's
+    dominated rows before they reach this process, so the merge scales with
+    the shard front sizes, not the chunk size.  Sweep chunks are distinct
+    genotypes, so the pruned result's duplicates-collapse contract is
+    vacuous; on other backends the hint is a no-op.  Once a feasible design
+    exists, infeasible rows can never re-enter the archive, so workers may
+    drop them outright.
+    """
+    batch = problem.evaluate_batch_columns(
+        chunk,
+        prune_to_front=True,
+        include_infeasible=not any_feasible,
+    )
+    feasible_rows = np.flatnonzero(batch.feasible)
+    if feasible_rows.size and not any_feasible:
+        archive = None
+        any_feasible = True
+    candidates = batch.take(feasible_rows) if any_feasible else batch
+    if archive is None:
+        front_objectives = candidates.objectives[:0]
+        pool = candidates
+    else:
+        front_objectives = archive.objectives
+        pool = archive.concatenate([archive, candidates])
+    indices = running_front_indices(front_objectives, candidates.objectives)
+    return pool.take(indices), any_feasible
+
+
 def _restore_archive(problem: OptimizationProblem, checkpoint: SweepCheckpoint):
     """Rebuild the running ``ColumnarBatchResult`` archive of a checkpoint."""
     if not len(checkpoint.genotypes):
@@ -105,12 +173,13 @@ class ExhaustiveSearch:
     block.
 
     Problems advertising ``supports_columnar`` are swept **columnar to the
-    front** by default: chunks are served as raw objective/feasibility
-    columns (:meth:`~repro.dse.problem.OptimizationProblem.evaluate_batch_columns`),
+    front**: chunks are served as raw objective/feasibility columns
+    (:meth:`~repro.dse.problem.OptimizationProblem.evaluate_batch_columns`),
     the running archive is pruned as column arrays, and
     :class:`~repro.dse.problem.EvaluatedDesign` objects are materialised
     only for the final front — removing the dominant parent-side cost of
-    large sweeps.  Both paths share one pruning kernel
+    large sweeps.  Other problems (no engine, or ``record_evaluations=True``)
+    are swept on design objects.  Both paths share one pruning kernel
     (:func:`~repro.dse.pareto.running_front_indices`), so their fronts are
     bitwise identical, membership and ordering alike.
 
@@ -122,10 +191,6 @@ class ExhaustiveSearch:
             front plus one chunk, so the threshold guards against
             accidental long runs, not against memory exhaustion.
         chunk_size: genotypes per evaluated block.
-        columnar: force the columnar sweep on (``True``, requires a problem
-            with ``supports_columnar``) or off (``False``, always
-            materialise per chunk); ``None`` picks columnar whenever the
-            problem supports it.
         checkpoint_path: when set, the columnar sweep periodically persists
             its running state (front columns, chunk cursor, archive flags)
             to this file — atomic, versioned, checksummed (see
@@ -158,7 +223,6 @@ class ExhaustiveSearch:
         problem: OptimizationProblem,
         max_configurations: int = 200_000,
         chunk_size: int = 1024,
-        columnar: bool | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 8,
         front_callback: Callable[[object, int], None] | None = None,
@@ -169,23 +233,9 @@ class ExhaustiveSearch:
             raise ValueError("chunk_size must be positive")
         if checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
-        if columnar and not getattr(problem, "supports_columnar", False):
-            raise ValueError(
-                "columnar=True needs a problem with columnar batch support "
-                "(an engine-backed problem not recording its evaluations)"
-            )
-        if columnar is False and checkpoint_path is not None:
-            raise ValueError(
-                "checkpointing is only supported by the columnar sweep"
-            )
-        if columnar is False and front_callback is not None:
-            raise ValueError(
-                "front streaming is only supported by the columnar sweep"
-            )
         self.problem = problem
         self.max_configurations = max_configurations
         self.chunk_size = chunk_size
-        self.columnar = columnar
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.front_callback = front_callback
@@ -204,18 +254,7 @@ class ExhaustiveSearch:
                 ExhaustiveCapWarning,
                 stacklevel=2,
             )
-        columnar = self.columnar
-        if columnar is None:
-            columnar = getattr(self.problem, "supports_columnar", False)
-        if self.checkpoint_path is not None and not columnar:
-            raise ValueError(
-                "checkpointing is only supported by the columnar sweep"
-            )
-        if self.front_callback is not None and not columnar:
-            raise ValueError(
-                "front streaming is only supported by the columnar sweep"
-            )
-        if columnar:
+        if _sweeps_columnar(self.problem, self.checkpoint_path, self.front_callback):
             return self._run_columnar()
         return self._run_objects()
 
@@ -245,34 +284,9 @@ class ExhaustiveSearch:
                 cursor = restored.cursor
                 next(islice(genotypes, cursor, cursor), None)
         while chunk := list(islice(genotypes, self.chunk_size)):
-            # ``prune_to_front`` lets a worker-pruning backend drop each
-            # shard's dominated rows before they ever reach this process —
-            # the archive merge below then scales with the shard front
-            # sizes, not the chunk size.  Enumerated chunks are distinct
-            # genotypes, so the pruned result's duplicates-collapse contract
-            # is vacuous here; on other backends the hint is a no-op and the
-            # merge sees the full chunk.  Once a feasible design exists,
-            # infeasible rows can never re-enter the archive, so workers may
-            # drop them outright.
-            batch = self.problem.evaluate_batch_columns(
-                chunk,
-                prune_to_front=True,
-                include_infeasible=not any_feasible,
+            archive, any_feasible = _absorb_columns(
+                self.problem, archive, any_feasible, chunk
             )
-            feasible_rows = np.flatnonzero(batch.feasible)
-            if feasible_rows.size and not any_feasible:
-                # First feasible design seen: drop the infeasible archive.
-                archive = None
-                any_feasible = True
-            candidates = batch.take(feasible_rows) if any_feasible else batch
-            if archive is None:
-                front_objectives = candidates.objectives[:0]
-                pool = candidates
-            else:
-                front_objectives = archive.objectives
-                pool = archive.concatenate([archive, candidates])
-            indices = running_front_indices(front_objectives, candidates.objectives)
-            archive = pool.take(indices)
             cursor += len(chunk)
             chunks_done += 1
             if self.front_callback is not None:
@@ -312,12 +326,8 @@ class ExhaustiveSearch:
     # --------------------------------------------------------- object sweep
 
     def _run_objects(self) -> list[EvaluatedDesign]:
-        """Classic per-chunk materialisation (the columnar path's reference)."""
-        # Running non-dominated archive.  As long as no feasible design has
-        # been seen the archive tracks the front of the infeasible designs,
-        # so an entirely infeasible space still yields its best trade-offs
-        # (matching the unpruned semantics); the first feasible design resets
-        # it, and from then on only feasible designs compete.
+        """Per-chunk materialisation, with :func:`_absorb_columns`'s
+        archive-reset semantics."""
         archive: list[EvaluatedDesign] = []
         any_feasible = False
         genotypes = self.problem.space.enumerate_genotypes()

@@ -15,8 +15,10 @@ surface (:func:`pareto_front_indices` / :func:`running_front_indices`):
   so the quadratic comparisons only ever run between survivors;
 * **blockwise dominance matrices** — broadcasted ``(n, block, m)``
   comparisons in bounded-size blocks, retained as the divide-and-conquer
-  base case, as the small-``n`` k-D path, and as the reference
-  implementation behind :func:`use_skyline` for differential testing.
+  base case and as the small-``n`` k-D path.  The private
+  :func:`_blockwise_front_indices` runs them on a whole set and is the
+  reference implementation the differential tests and the pruning
+  benchmark compare the skyline kernels against.
 
 Both families compute the same dominated/duplicate mask — first occurrence
 of duplicated points survives, NaN rows neither dominate nor are dominated
@@ -32,13 +34,9 @@ workload ever silently falls back to the dominance matrices.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
-# The skyline/dominance kernels draw their namespace from the array-backend
-# seam: on the default backend this *is* NumPy, and the objective matrices
-# handed over by the engine live wherever the compiled kernel put them.
-from repro.core.array_backend import xp as np
+import numpy as np
 
 #: Candidate-block size bounding the memory of the pairwise comparisons.
 _DOMINANCE_BLOCK = 512
@@ -48,11 +46,6 @@ _DOMINANCE_BLOCK = 512
 #: for itself on larger sets.  (1- and 2-objective sets always take the
 #: sort-based kernels: a single sort wins at every size.)
 _SKYLINE_BASE = 128
-
-#: Module switch for the sort-based kernels.  Results are identical either
-#: way; the switch exists so tests and benchmarks can compare against the
-#: blockwise reference (see :func:`use_skyline`).
-_skyline_enabled = True
 
 #: Per-process dispatch counters, keyed by kernel (see
 #: :func:`prune_kernel_counts`).
@@ -72,9 +65,6 @@ __all__ = [
     "hypervolume",
     "front_coverage",
     "front_contribution",
-    "skyline_enabled",
-    "set_skyline_enabled",
-    "use_skyline",
     "prune_kernel_counts",
     "reset_prune_kernel_counts",
 ]
@@ -93,35 +83,7 @@ def dominates(first: Sequence[float], second: Sequence[float]) -> bool:
     return at_least_one_better
 
 
-# --------------------------------------------------------------------- switch
-
-
-def skyline_enabled() -> bool:
-    """Whether front extraction dispatches to the sort-based skyline kernels."""
-    return _skyline_enabled
-
-
-def set_skyline_enabled(enabled: bool) -> bool:
-    """Switch the sort-based kernels on or off, returning the previous value.
-
-    Fronts are bitwise identical either way — membership and ordering — so
-    the switch is purely a differential-testing and benchmarking hook, never
-    a semantic knob.
-    """
-    global _skyline_enabled
-    previous = _skyline_enabled
-    _skyline_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def use_skyline(enabled: bool) -> Iterator[None]:
-    """Scoped :func:`set_skyline_enabled` (differential tests, benchmarks)."""
-    previous = set_skyline_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_skyline_enabled(previous)
+# ---------------------------------------------------------- dispatch counters
 
 
 def prune_kernel_counts() -> dict[str, int]:
@@ -311,18 +273,18 @@ def _dominated_mask(points: np.ndarray) -> np.ndarray:
     Dispatch rules (documented in the ROADMAP architecture notes): 1- and
     2-objective sets take the sort-based skyline kernels at every size;
     k >= 3-objective sets take the divide-and-conquer skyline above
-    ``_SKYLINE_BASE`` rows; everything else — small k-D sets, zero-width
-    points, and every call with the skyline disabled — runs on the
-    blockwise dominance matrices.  All kernels agree bitwise on the mask.
+    ``_SKYLINE_BASE`` rows; everything else — small k-D sets and zero-width
+    points — runs on the blockwise dominance matrices.  All kernels agree
+    bitwise on the mask.
     """
     count, width = points.shape
-    if _skyline_enabled and width == 1:
+    if width == 1:
         _KERNEL_COUNTS["skyline_1d"] += 1
         return _skyline_apply(points, _scan_1d)
-    if _skyline_enabled and width == 2:
+    if width == 2:
         _KERNEL_COUNTS["skyline_2d"] += 1
         return _skyline_apply(points, _scan_2d)
-    if _skyline_enabled and width >= 3 and count > _SKYLINE_BASE:
+    if width >= 3 and count > _SKYLINE_BASE:
         _KERNEL_COUNTS["skyline_kd"] += 1
         return _skyline_apply(points, _skyline_kd)
     _KERNEL_COUNTS["blockwise"] += 1
@@ -362,9 +324,9 @@ def running_front_indices(
     and ordering :func:`pareto_front_indices` would produce for the
     archive-plus-surviving-candidates pool.  Candidates beaten by the
     archive (dominated, or duplicating an archived point) are pre-filtered
-    with one broadcasted pass before the joint prune — removing them cannot
-    change the joint front, because every removal has a surviving witness in
-    the archive.
+    by the blocked :func:`_beaten_by` pass before the joint prune — removing
+    them cannot change the joint front, because every removal has a
+    surviving witness in the archive.
 
     Callers index whatever per-row payload they carry — design objects on
     the object path, raw column rows on the columnar path — with the
@@ -379,11 +341,7 @@ def running_front_indices(
         return list(range(len(front)))
     if front.ndim != 2 or candidates.ndim != 2 or front.shape[1] != candidates.shape[1]:
         raise ValueError("objective vectors must have the same length")
-    less_equal = (front[:, None, :] <= candidates[None, :, :]).all(-1)
-    strictly_less = (front[:, None, :] < candidates[None, :, :]).any(-1)
-    equal = (front[:, None, :] == candidates[None, :, :]).all(-1)
-    beaten = ((less_equal & strictly_less) | equal).any(axis=0)
-    kept = np.flatnonzero(~beaten)
+    kept = np.flatnonzero(~_beaten_by(front, candidates))
     joint = pareto_front_indices(np.concatenate([front, candidates[kept]], axis=0))
     offset = len(front)
     return [

@@ -15,7 +15,6 @@ import abc
 import hashlib
 import pickle
 from dataclasses import dataclass, field
-from types import ModuleType
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -246,10 +245,6 @@ class WbsnDseProblem(OptimizationProblem):
             so the engine can evaluate whole batches with NumPy array
             kernels.  The fast path is floating-point-identical to the
             scalar path; ``False`` forces scalar evaluation everywhere.
-        array_backend: array-backend choice for the columnar kernel — a
-            registered backend name (:mod:`repro.core.array_backend`), an
-            ``xp``-style namespace module, or ``None`` for the seam default
-            (NumPy).  Ignored when ``vectorized=False``.
     """
 
     def __init__(
@@ -264,7 +259,6 @@ class WbsnDseProblem(OptimizationProblem):
         record_evaluations: bool = False,
         engine: EvaluationEngine | None = None,
         vectorized: bool = True,
-        array_backend: str | ModuleType | None = None,
     ) -> None:
         self.engine = engine if engine is not None else EvaluationEngine()
         self.evaluator = CachedNetworkEvaluator(
@@ -309,9 +303,7 @@ class WbsnDseProblem(OptimizationProblem):
             )
         domains.extend(self.mac_parameterisation.domains)
         self.space = DesignSpace(domains)
-        self.vectorized_kernel = (
-            self._compile_kernel(array_backend) if vectorized else None
-        )
+        self.vectorized_kernel = self._compile_kernel() if vectorized else None
         self.engine.bind(self)
 
         # The probe goes through the engine like every other evaluation (it
@@ -463,25 +455,6 @@ class WbsnDseProblem(OptimizationProblem):
             violation_count=len(evaluation.violations),
         )
 
-    def set_array_backend(self, backend: str | ModuleType | None) -> None:
-        """Recompile the columnar kernel onto a different array backend.
-
-        The runner-level seam entry point
-        (``run_algorithm(array_backend=...)``): the kernel is recompiled so
-        its knob/MAC tables live on the new backend, and the resolved
-        backend name is restamped on the engine stats.  Only available for
-        problems that compiled a vectorized kernel in the first place.
-        """
-        if self.vectorized_kernel is None:
-            raise RuntimeError(
-                "this problem has no compiled vectorized kernel to rebind"
-            )
-        kernel = self._compile_kernel(backend)
-        if kernel is None:  # pragma: no cover - compile succeeded once already
-            raise RuntimeError("kernel recompilation failed on the new backend")
-        self.vectorized_kernel = kernel
-        self.engine.stats.array_backend = kernel.backend_name
-
     #: the engine may hand :meth:`compute_designs_batch` a ``cached_mask``
     #: (the genotype-cache-aware kernel protocol); problems without this
     #: flag receive pre-filtered miss rows instead.
@@ -630,9 +603,7 @@ class WbsnDseProblem(OptimizationProblem):
 
     # ------------------------------------------------------------- internals
 
-    def _compile_kernel(
-        self, array_backend: str | ModuleType | None = None
-    ) -> WbsnVectorizedKernel | None:
+    def _compile_kernel(self) -> WbsnVectorizedKernel | None:
         """Compile the columnar kernel, or fall back for unsupported models."""
         raw = self.evaluator.wrapped
         network = getattr(raw, "full_evaluator", raw)
@@ -658,7 +629,6 @@ class WbsnDseProblem(OptimizationProblem):
                 domains=self.space.domains,
                 objective_components=self.objective_components,
                 infeasibility_penalty=self.infeasibility_penalty,
-                backend=array_backend,
             )
         except VectorizedUnsupported:
             return None

@@ -1,4 +1,9 @@
-"""Uniform random search baseline."""
+"""Uniform random search baseline.
+
+Like :mod:`repro.dse.exhaustive`, the sweep path follows the problem:
+``supports_columnar`` problems are sampled in chunks pruned into a running
+front on raw columns, everything else in one batch of design objects.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +14,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.dse.exhaustive import _archive_checkpoint, _restore_archive
-from repro.dse.pareto import pareto_front_indices, running_front_indices
+from repro.dse.exhaustive import (
+    _absorb_columns,
+    _archive_checkpoint,
+    _restore_archive,
+    _sweeps_columnar,
+)
+from repro.dse.pareto import pareto_front_indices
 from repro.dse.problem import EvaluatedDesign, OptimizationProblem
 from repro.engine import faults
 from repro.engine.checkpoint import (
@@ -30,44 +40,37 @@ class RandomSearch:
     least match) its front.
 
     Problems advertising ``supports_columnar`` are swept columnar to the
-    front by default: the sampled batch is served as raw objective columns,
-    the front is extracted on the column matrix, and only the surviving
-    designs are ever materialised.  Fronts are bitwise identical with the
-    columnar path on or off (same floats, same pruning kernel).
+    front: distinct genotypes are drawn lazily in ``chunk_size`` blocks,
+    each block is served as raw objective columns and pruned into a
+    running front, and only the surviving designs are ever materialised.
+    Peak memory holds one chunk, the dedup seen-set and the running front —
+    never the full sample list.  Other problems (no engine, or
+    ``record_evaluations=True``) evaluate the whole sample as design
+    objects and extract its front once.  Fronts are bitwise identical
+    either way, for any chunk size: the draw stream is shared and the
+    chunked running-front pruning is order-identical to the one-shot
+    extraction.
 
     Args:
         problem: the optimisation problem to sample.
         samples: number of uniform draws (duplicates are dropped).
         seed: random seed (the draw stream is deterministic for a seed).
-        columnar: force the columnar path on (``True``, requires a problem
-            with ``supports_columnar``) or off (``False``); ``None`` picks
-            columnar whenever the problem supports it.
-        checkpoint_path: when set, the columnar sweep runs chunked (see
-            ``chunk_size``) and periodically persists its running state —
-            including the RNG state needed to redraw the identical sample
-            stream — so an interrupted run resumed with the same path
-            produces a front bitwise identical to an uninterrupted one
-            (see :mod:`repro.engine.checkpoint`).  Requires the columnar
-            path.
+        checkpoint_path: when set, the columnar sweep periodically persists
+            its running state — including the RNG state needed to redraw
+            the identical sample stream — so an interrupted run resumed
+            with the same path produces a front bitwise identical to an
+            uninterrupted one (see :mod:`repro.engine.checkpoint`).
+            Requires the columnar path.
         checkpoint_every: chunks between checkpoint writes.
-        chunk_size: distinct samples per evaluated block of the streaming
-            (and checkpointed) columnar sweep.
-        streaming: stream the columnar sweep (the default): distinct
-            genotypes are drawn lazily in chunk-sized blocks and pruned
-            into a running front, so peak memory holds one chunk, the
-            dedup seen-set and the running front — never the full sample
-            list.  ``False`` restores the materialised one-shot batch
-            (the parity reference, and the most rows per dispatch for
-            worker-pruning backends).  Fronts are bitwise identical either
-            way: the draw stream is shared and the chunked running-front
-            pruning is order-identical to the one-shot extraction.
+        chunk_size: distinct samples per evaluated block of the columnar
+            sweep.
         front_callback: when set, called after every absorbed chunk of the
-            streaming sweep with the running archive (a
+            columnar sweep with the running archive (a
             ``ColumnarBatchResult``, or ``None`` while empty) and the count
             of distinct genotypes consumed — the same progress/cancellation
             hook as :class:`~repro.dse.exhaustive.ExhaustiveSearch`: an
             exception raised by the callback aborts the sweep between
-            chunks.  Requires the streaming columnar path.
+            chunks.  Requires the columnar path.
     """
 
     #: name stamped into checkpoints; a resume under a different algorithm
@@ -79,11 +82,9 @@ class RandomSearch:
         problem: OptimizationProblem,
         samples: int = 2000,
         seed: int = 0,
-        columnar: bool | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_every: int = 8,
         chunk_size: int = 1024,
-        streaming: bool = True,
         front_callback: Callable[[object, int], None] | None = None,
     ) -> None:
         if samples <= 0:
@@ -92,27 +93,11 @@ class RandomSearch:
             raise ValueError("checkpoint_every must be positive")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if columnar and not getattr(problem, "supports_columnar", False):
-            raise ValueError(
-                "columnar=True needs a problem with columnar batch support "
-                "(an engine-backed problem not recording its evaluations)"
-            )
-        if columnar is False and checkpoint_path is not None:
-            raise ValueError(
-                "checkpointing is only supported by the columnar sweep"
-            )
-        if front_callback is not None and (columnar is False or not streaming):
-            raise ValueError(
-                "front streaming is only supported by the streaming "
-                "columnar sweep"
-            )
         self.problem = problem
         self.samples = samples
-        self.columnar = columnar
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.chunk_size = chunk_size
-        self.streaming = streaming
         self.front_callback = front_callback
         self._rng = np.random.default_rng(seed)
         # Captured before any draw: a resumed run restores this state and
@@ -124,38 +109,13 @@ class RandomSearch:
         """Sample the space and return the feasible non-dominated designs.
 
         Evaluation consumes no randomness, so the draw stream is a function
-        of the initial RNG state alone — streaming, one-shot and resumed
+        of the initial RNG state alone — chunked, one-shot and resumed
         runs all see the identical sequence of distinct genotypes and
         return bitwise-identical fronts.
         """
-        columnar = self.columnar
-        if columnar is None:
-            columnar = getattr(self.problem, "supports_columnar", False)
-        if self.checkpoint_path is not None and not columnar:
-            raise ValueError(
-                "checkpointing is only supported by the columnar sweep"
-            )
-        if self.front_callback is not None and not columnar:
-            raise ValueError(
-                "front streaming is only supported by the streaming "
-                "columnar sweep"
-            )
-        if columnar and (self.streaming or self.checkpoint_path is not None):
-            return self._run_streaming()
+        if _sweeps_columnar(self.problem, self.checkpoint_path, self.front_callback):
+            return self._run_columnar()
         genotypes = list(self._draw_stream())
-        if columnar:
-            # The sampled genotypes are already distinct, so the pruned
-            # result's duplicates-collapse contract is vacuous; a
-            # worker-pruning backend ships back only shard-local fronts and
-            # the extraction below runs on those few rows (other backends
-            # ignore the hint and the full batch is pruned here).
-            batch = self.problem.evaluate_batch_columns(
-                genotypes, prune_to_front=True
-            )
-            feasible_rows = np.flatnonzero(batch.feasible)
-            pool = batch.take(feasible_rows) if feasible_rows.size else batch
-            front = pareto_front_indices(pool.objectives)
-            return pool.take(front).materialise()
         evaluated = self.problem.evaluate_batch(genotypes)
         feasible = [design for design in evaluated if design.feasible] or evaluated
         front = pareto_front_indices([design.objectives for design in feasible])
@@ -181,14 +141,14 @@ class RandomSearch:
             seen.add(genotype)
             yield genotype
 
-    def _run_streaming(self) -> list[EvaluatedDesign]:
+    def _run_columnar(self) -> list[EvaluatedDesign]:
         """Chunked running-front sweep over the lazy draw stream.
 
         The chunked running-front pruning keeps first-occurrence order and
-        mirrors the archive-reset semantics of the one-shot path (infeasible
-        rows compete only until the first feasible design appears), so its
-        final front is identical to the one-shot extraction — the parity
-        suite pins this.  With a ``checkpoint_path`` the sweep periodically
+        mirrors the archive-reset semantics of the one-shot object path
+        (infeasible rows compete only until the first feasible design
+        appears), so its final front is identical to the one-shot
+        extraction — the parity suite pins this.  With a ``checkpoint_path`` the sweep periodically
         persists its resumable state; the checkpoint cursor counts *distinct*
         genotypes consumed, and a resume replays the draw stream from the
         initial RNG state, skipping the consumed prefix while rebuilding the
@@ -240,24 +200,9 @@ class RandomSearch:
             if not chunk:
                 break
             position += len(chunk)
-            batch = self.problem.evaluate_batch_columns(
-                chunk,
-                prune_to_front=True,
-                include_infeasible=not any_feasible,
+            archive, any_feasible = _absorb_columns(
+                self.problem, archive, any_feasible, chunk
             )
-            feasible_rows = np.flatnonzero(batch.feasible)
-            if feasible_rows.size and not any_feasible:
-                archive = None
-                any_feasible = True
-            candidates = batch.take(feasible_rows) if any_feasible else batch
-            if archive is None:
-                front_objectives = candidates.objectives[:0]
-                pool = candidates
-            else:
-                front_objectives = archive.objectives
-                pool = archive.concatenate([archive, candidates])
-            indices = running_front_indices(front_objectives, candidates.objectives)
-            archive = pool.take(indices)
             chunks_done += 1
             if self.front_callback is not None:
                 self.front_callback(archive, position)

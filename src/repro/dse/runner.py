@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Callable, Protocol
 
 from repro.dse.problem import EvaluatedDesign, OptimizationProblem
@@ -177,14 +176,6 @@ class DseResult:
         return self.engine_stats.node_cache_hit_rate
 
     @property
-    def array_backend(self) -> str:
-        """Array-backend namespace that computed the columnar kernels'
-        columns during the run (``""`` for scalar/object-path runs)."""
-        if self.engine_stats is None:
-            return ""
-        return self.engine_stats.array_backend
-
-    @property
     def objective_vectors(self) -> list[tuple[float, ...]]:
         """Objective vectors of the returned front."""
         return [design.objectives for design in self.front]
@@ -196,7 +187,6 @@ def run_algorithm(
     close_engine: bool = False,
     checkpoint_path: str | None = None,
     cache_dir: str | None = None,
-    array_backend: str | ModuleType | None = None,
     front_callback: Callable[[object, int], None] | None = None,
 ) -> DseResult:
     """Run a search algorithm and record its cost.
@@ -225,13 +215,6 @@ def run_algorithm(
     an unusable segment warns (:class:`~repro.engine.CacheTierWarning`)
     and the run starts cold.
 
-    ``array_backend`` recompiles the problem's columnar kernel onto the
-    named array backend (a registered name or an ``xp``-style namespace
-    module, see :mod:`repro.core.array_backend`) before the timed run —
-    the backend seam's runner-level entry point.  Requires a problem with
-    a compiled vectorized kernel (``TypeError`` otherwise); the resolved
-    backend name is surfaced on the result's engine-stats delta.
-
     ``front_callback`` routes to the algorithm's streaming-front support
     (the columnar exhaustive and random sweeps): the callable receives the
     running archive and the consumed-genotype cursor after every absorbed
@@ -239,14 +222,6 @@ def run_algorithm(
     exception raised by the callback aborts the run between chunks).
     Algorithms without the hook reject the argument with a ``TypeError``.
     """
-    if array_backend is not None:
-        rebind = getattr(algorithm.problem, "set_array_backend", None)
-        if not callable(rebind):
-            raise TypeError(
-                f"{type(algorithm.problem).__name__} does not support "
-                "array-backend selection (no vectorized kernel seam)"
-            )
-        rebind(array_backend)
     if checkpoint_path is not None:
         if not hasattr(algorithm, "checkpoint_path"):
             raise TypeError(

@@ -24,7 +24,7 @@ owns every cross-cutting evaluation concern:
   an LRU policy), so distinct candidates that share per-node knob settings
   reuse node energy/quality/MAC results;
 * **batching** — :meth:`EvaluationEngine.evaluate_many` deduplicates a batch,
-  and dispatches only the misses to one of two compute paths;
+  and dispatches only the misses to one of three compute paths;
 * **columnar results** — :meth:`EvaluationEngine.evaluate_many_columnar`
   serves the same batch as a :class:`ColumnarBatchResult` of raw columns
   (objective matrix, feasibility mask, violation column, genotype-index
@@ -32,7 +32,9 @@ owns every cross-cutting evaluation concern:
   design objects only for the survivors
   (:meth:`ColumnarBatchResult.materialise`, counted in
   ``EngineStats.designs_materialised``), removing the dominant parent-side
-  cost of large sweeps;
+  cost of large sweeps.  Exhaustive and random sweeps always take it when
+  the problem advertises ``supports_columnar``; only problems recording
+  every evaluated design (``record_evaluations=True``) sweep on objects;
 * **instrumentation** — an :class:`~repro.engine.stats.EngineStats` instance
   separating designs served from raw model work, and scalar from vectorized
   work.
@@ -59,8 +61,9 @@ Three compute paths serve a batch of genotype-cache misses:
   always take this path, as do problems without a kernel and engines with a
   non-columnar, non-serial backend.
 
-Both paths are floating-point-identical by construction (the parity suite
-enforces it), so switching between them is a pure performance decision.
+All three paths are floating-point-identical by construction (the parity
+suite enforces it), so switching between them is a pure performance
+decision.
 
 Pool failures never change results either: a batch whose backend exhausts
 its :class:`~repro.engine.backends.RetryPolicy` is served by the in-process
@@ -309,11 +312,6 @@ class EvaluationEngine:
                 "the problem must expose a pure 'compute_design(genotype)' method"
             )
         self._problem = problem
-        kernel = getattr(problem, "vectorized_kernel", None)
-        if kernel is not None:
-            # Surface which array-backend namespace computes the columns so
-            # throughput reports can attribute runs to a backend.
-            self.stats.array_backend = getattr(kernel, "backend_name", "")
         if self.genotype_cache_enabled and (
             self.shared_cache is not None or self.cache_dir is not None
         ):

@@ -99,12 +99,6 @@ class EngineStats:
             warm-start sweep's "no model was touched" evidence).
         batches: number of ``evaluate_many`` invocations.
         wall_time_s: wall-clock time spent inside the engine.
-        array_backend: name of the array-backend namespace
-            (:mod:`repro.core.array_backend`) that computed the columnar
-            kernels' columns — ``""`` until a problem with a compiled
-            kernel is bound to the engine.  The
-            only non-numeric field: ``merge``/``-`` carry it through
-            (non-empty wins) instead of doing arithmetic on it.
     """
 
     genotype_requests: int = 0
@@ -129,7 +123,6 @@ class EngineStats:
     persistent_cache_hits: int = 0
     batches: int = 0
     wall_time_s: float = 0.0
-    array_backend: str = ""
 
     # ------------------------------------------------------------ derived
 
@@ -154,7 +147,7 @@ class EngineStats:
 
         The wire/report form: the DSE service's stats endpoint and the
         benchmark artifacts serialize counters through this, so every field
-        travels as a plain ``int``/``float``/``str``.
+        travels as a plain ``int``/``float``.
         """
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
@@ -167,28 +160,18 @@ class EngineStats:
     def merge(self, other: "EngineStats") -> None:
         """Add another set of counters in place (e.g. from a worker process)."""
         for field in fields(self):
-            mine = getattr(self, field.name)
-            if isinstance(mine, str):
-                # Labels are carried, not added: keep ours unless unset.
-                setattr(self, field.name, mine or getattr(other, field.name))
-                continue
-            setattr(self, field.name, mine + getattr(other, field.name))
+            setattr(
+                self, field.name, getattr(self, field.name) + getattr(other, field.name)
+            )
 
     def __sub__(self, other: "EngineStats") -> "EngineStats":
-        """Field-wise difference, used to attribute counters to one run.
-
-        Label fields (``array_backend``) are carried from the newer snapshot
-        rather than subtracted — a delta records which backend served the
-        attributed window.
-        """
-        values = {}
-        for field in fields(self):
-            mine = getattr(self, field.name)
-            if isinstance(mine, str):
-                values[field.name] = mine
-                continue
-            values[field.name] = mine - getattr(other, field.name)
-        return EngineStats(**values)
+        """Field-wise difference, used to attribute counters to one run."""
+        return EngineStats(
+            **{
+                field.name: getattr(self, field.name) - getattr(other, field.name)
+                for field in fields(self)
+            }
+        )
 
     def reset(self) -> None:
         """Zero every counter."""

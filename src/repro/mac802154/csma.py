@@ -40,10 +40,9 @@ this bit for bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Any, Sequence
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 from repro.core.mac_abstraction import (
     MACProtocolModel,
@@ -541,34 +540,31 @@ class UnslottedCsmaMacModel(MACProtocolModel):
     def compile_mac_table(
         self,
         mac_configs: Sequence[CsmaMacConfig],
-        *,
-        xp: ModuleType = np,
     ) -> CsmaMacTable:
         """Precompute the per-configuration columns of the vectorized path.
 
         Every entry is produced by the exact scalar per-configuration
         methods, so gathering from the table is bit-identical to evaluating
-        the configuration scalar-wise.  The table's columns live on the
-        ``xp`` backend the kernel was compiled for.
+        the configuration scalar-wise.
         """
         for config in mac_configs:
             self.validate_config(config)
         return CsmaMacTable(
-            payload_bytes=xp.asarray(
+            payload_bytes=np.asarray(
                 [float(config.payload_bytes) for config in mac_configs], dtype=float
             ),
-            expected_transmissions=xp.asarray(
+            expected_transmissions=np.asarray(
                 [
                     self.expected_transmissions_per_frame(config)
                     for config in mac_configs
                 ],
                 dtype=float,
             ),
-            delivery_probability=xp.asarray(
+            delivery_probability=np.asarray(
                 [self.delivery_probability(config) for config in mac_configs],
                 dtype=float,
             ),
-            access_delay_s=xp.asarray(
+            access_delay_s=np.asarray(
                 [self.access_delay_s(config) for config in mac_configs], dtype=float
             ),
         )
@@ -578,11 +574,9 @@ class UnslottedCsmaMacModel(MACProtocolModel):
         output_stream_bytes_per_second: np.ndarray,
         mac_table: CsmaMacTable,
         mac_index: np.ndarray,
-        *,
-        xp: ModuleType = np,
     ) -> MACQuantityColumns:
         """Column-wise :meth:`per_node_quantities` (same operation order)."""
-        phi_out = xp.asarray(output_stream_bytes_per_second, dtype=float)
+        phi_out = np.asarray(output_stream_bytes_per_second, dtype=float)
         frames_per_second = phi_out / mac_table.payload_bytes[mac_index]
         expected_tx = mac_table.expected_transmissions[mac_index]
         delivery = mac_table.delivery_probability[mac_index]
@@ -595,7 +589,7 @@ class UnslottedCsmaMacModel(MACProtocolModel):
         return MACQuantityColumns(
             data_overhead_bytes_per_second=data_overhead,
             control_coordinator_to_node_bytes_per_second=acknowledgements,
-            control_node_to_coordinator_bytes_per_second=xp.zeros_like(phi_out),
+            control_node_to_coordinator_bytes_per_second=np.zeros_like(phi_out),
         )
 
     def worst_case_delay_columns(
@@ -603,11 +597,9 @@ class UnslottedCsmaMacModel(MACProtocolModel):
         slot_counts: np.ndarray,
         mac_table: CsmaMacTable,
         mac_index: np.ndarray,
-        *,
-        xp: ModuleType = np,
     ) -> np.ndarray:
         """Column-wise :meth:`worst_case_delays` over a slot matrix."""
-        counts = xp.asarray(slot_counts)
+        counts = np.asarray(slot_counts)
         access = mac_table.access_delay_s[mac_index]
-        delays = 1.0 / xp.maximum(counts, 1) + access[:, None]
-        return xp.where(counts == 0, np.inf, delays)
+        delays = 1.0 / np.maximum(counts, 1) + access[:, None]
+        return np.where(counts == 0, np.inf, delays)

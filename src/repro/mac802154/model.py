@@ -20,10 +20,9 @@ model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import ModuleType
 from typing import Any, Sequence
 
-from repro.core.array_backend import xp as np
+import numpy as np
 
 from repro.core.delay import worst_case_tdma_delay
 from repro.core.mac_abstraction import (
@@ -87,33 +86,30 @@ class BeaconEnabledMacModel(MACProtocolModel):
     def compile_mac_table(
         self,
         mac_configs: Sequence[Ieee802154MacConfig],
-        *,
-        xp: ModuleType = np,
     ) -> BeaconMacTable:
         """Precompute the per-configuration columns of the vectorized path.
 
         Every entry is produced by the exact scalar expressions of the
         per-candidate methods, so gathering from the table is bit-identical
-        to evaluating the configuration scalar-wise.  The table's columns
-        live on the ``xp`` backend the kernel was compiled for.
+        to evaluating the configuration scalar-wise.
         """
         for config in mac_configs:
             self.validate_config(config)
         return BeaconMacTable(
-            payload_bytes=xp.asarray(
+            payload_bytes=np.asarray(
                 [float(config.payload_bytes) for config in mac_configs], dtype=float
             ),
-            beacon_bytes_per_second=xp.asarray(
+            beacon_bytes_per_second=np.asarray(
                 [
                     config.beacon_bytes * config.superframes_per_second
                     for config in mac_configs
                 ],
                 dtype=float,
             ),
-            slot_duration_s=xp.asarray(
+            slot_duration_s=np.asarray(
                 [config.slot_duration_s for config in mac_configs], dtype=float
             ),
-            beacon_interval_s=xp.asarray(
+            beacon_interval_s=np.asarray(
                 [config.beacon_interval_s for config in mac_configs], dtype=float
             ),
         )
@@ -123,11 +119,9 @@ class BeaconEnabledMacModel(MACProtocolModel):
         output_stream_bytes_per_second: np.ndarray,
         mac_table: BeaconMacTable,
         mac_index: np.ndarray,
-        *,
-        xp: ModuleType = np,
     ) -> MACQuantityColumns:
         """Column-wise :meth:`per_node_quantities` (same operation order)."""
-        phi_out = xp.asarray(output_stream_bytes_per_second, dtype=float)
+        phi_out = np.asarray(output_stream_bytes_per_second, dtype=float)
         frames_per_second = phi_out / mac_table.payload_bytes[mac_index]
         data_overhead = MAC_OVERHEAD_BYTES * frames_per_second
         acknowledgements = ACK_BYTES * frames_per_second
@@ -135,7 +129,7 @@ class BeaconEnabledMacModel(MACProtocolModel):
         return MACQuantityColumns(
             data_overhead_bytes_per_second=data_overhead,
             control_coordinator_to_node_bytes_per_second=acknowledgements + beacons,
-            control_node_to_coordinator_bytes_per_second=xp.zeros_like(phi_out),
+            control_node_to_coordinator_bytes_per_second=np.zeros_like(phi_out),
         )
 
     def worst_case_delay_columns(
@@ -143,23 +137,21 @@ class BeaconEnabledMacModel(MACProtocolModel):
         slot_counts: np.ndarray,
         mac_table: BeaconMacTable,
         mac_index: np.ndarray,
-        *,
-        xp: ModuleType = np,
     ) -> np.ndarray:
         """Column-wise equation (9) over a ``(batch, nodes)`` slot matrix."""
-        counts = xp.asarray(slot_counts)
+        counts = np.asarray(slot_counts)
         slot_duration = mac_table.slot_duration_s[mac_index]
         beacon_interval = mac_table.beacon_interval_s[mac_index]
         total_slots = counts.sum(axis=1)
         used = total_slots * slot_duration
-        control_per_superframe = xp.maximum(0.0, beacon_interval - used)
+        control_per_superframe = np.maximum(0.0, beacon_interval - used)
         other_slots = total_slots[:, None] - counts
         waiting_for_others = other_slots * slot_duration[:, None]
-        recurrences_spanned = xp.maximum(1.0, xp.ceil(other_slots / MAX_GTS_SLOTS))
+        recurrences_spanned = np.maximum(1.0, np.ceil(other_slots / MAX_GTS_SLOTS))
         delays = (
             waiting_for_others + recurrences_spanned * control_per_superframe[:, None]
         )
-        return xp.where(counts == 0, np.inf, delays)
+        return np.where(counts == 0, np.inf, delays)
 
     # ------------------------------------------------------ time structure
 

@@ -3,7 +3,8 @@
 The columnar path (``EvaluationEngine.evaluate_many_columnar`` /
 ``ColumnarBatchResult``) must be *semantically invisible*: exhaustive and
 random-search sweeps return bitwise-identical fronts — membership **and**
-ordering — with the columnar path on or off, for both MAC families and for
+ordering — on the columnar path and on the object path (which a problem
+recording its evaluations takes), for both MAC families and for
 the serial kernel, the sharded backend and the scalar fallback alike.  On
 top of parity, these tests pin the point of the seam: sweeps prune on raw
 objective columns and materialise only their survivors
@@ -18,11 +19,7 @@ import numpy as np
 import pytest
 
 from repro.dse.exhaustive import ExhaustiveCapWarning, ExhaustiveSearch
-from repro.dse.pareto import (
-    pareto_front_indices,
-    running_front_indices,
-    use_skyline,
-)
+from repro.dse.pareto import pareto_front_indices, running_front_indices
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
 from repro.engine import ColumnarBatchResult, EvaluationEngine
@@ -92,21 +89,23 @@ def expected_materialised(problem, front):
 
 
 class TestSweepParity:
-    """Columnar on vs off: identical fronts, membership and ordering."""
+    """Columnar vs object path: identical fronts, membership and ordering."""
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_exhaustive_identical_fronts(self, scenario):
         build = SCENARIOS[scenario]
-        objects = ExhaustiveSearch(build(), columnar=False).run()
-        columnar = ExhaustiveSearch(build(), columnar=True).run()
+        objects = ExhaustiveSearch(build(record_evaluations=True)).run()
+        columnar = ExhaustiveSearch(build()).run()
         assert front_signature(objects) == front_signature(columnar)
         assert objects  # non-degenerate
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_random_search_identical_fronts(self, scenario):
         build = SCENARIOS[scenario]
-        objects = RandomSearch(build(), samples=150, seed=5, columnar=False).run()
-        columnar = RandomSearch(build(), samples=150, seed=5, columnar=True).run()
+        objects = RandomSearch(
+            build(record_evaluations=True), samples=150, seed=5
+        ).run()
+        columnar = RandomSearch(build(), samples=150, seed=5).run()
         assert front_signature(objects) == front_signature(columnar)
         assert objects
 
@@ -114,17 +113,19 @@ class TestSweepParity:
     def test_scalar_fallback_identical_fronts(self, scenario):
         """Problems without a kernel build columns from per-design results."""
         build = SCENARIOS[scenario]
-        objects = ExhaustiveSearch(build(vectorized=False), columnar=False).run()
-        columnar = ExhaustiveSearch(build(vectorized=False), columnar=True).run()
+        objects = ExhaustiveSearch(
+            build(vectorized=False, record_evaluations=True)
+        ).run()
+        columnar = ExhaustiveSearch(build(vectorized=False)).run()
         assert front_signature(objects) == front_signature(columnar)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_sharded_backend_identical_fronts(self, scenario):
         build = SCENARIOS[scenario]
-        serial = ExhaustiveSearch(build(), columnar=True).run()
+        serial = ExhaustiveSearch(build()).run()
         with EvaluationEngine(backend="sharded", max_workers=2) as engine:
             problem = build(engine)
-            sharded = ExhaustiveSearch(problem, columnar=True).run()
+            sharded = ExhaustiveSearch(problem).run()
             stats = engine.stats
             # Worker column kernels computed every miss; survivors only were
             # materialised, parent-side.
@@ -137,23 +138,31 @@ class TestSweepParity:
             assert stats.rows_pruned_in_workers > 0
         assert front_signature(serial) == front_signature(sharded)
 
-    def test_columnar_flag_needs_columnar_support(self):
+    def test_object_path_rejects_columnar_only_options(self):
         recording = beacon_problem(record_evaluations=True)
         assert not recording.supports_columnar
-        with pytest.raises(ValueError, match="columnar"):
-            ExhaustiveSearch(recording, columnar=True)
-        with pytest.raises(ValueError, match="columnar"):
-            RandomSearch(recording, columnar=True)
-        # Default (columnar=None) silently falls back to the object path.
+        for options in (
+            {"checkpoint_path": "never-written.ckpt"},
+            {"front_callback": lambda archive, cursor: None},
+        ):
+            with pytest.raises(ValueError, match="columnar"):
+                ExhaustiveSearch(recording, **options).run()
+            with pytest.raises(ValueError, match="columnar"):
+                RandomSearch(recording, **options).run()
+        # Rejected before any evaluation.
+        assert recording.evaluations == 0
+        # Without those options the sweep takes the object path.
         assert ExhaustiveSearch(recording).run()
 
 
-def sweep_problem(scenario: str, engine: EvaluationEngine | None = None) -> WbsnDseProblem:
+def sweep_problem(
+    scenario: str, engine: EvaluationEngine | None = None, **kwargs
+) -> WbsnDseProblem:
     """The 8192-configuration 6-node case-study space, per MAC family."""
     engine = engine if engine is not None else EvaluationEngine()
     if scenario == "beacon":
         return WbsnDseProblem(
-            build_case_study_evaluator(), **SWEEP_DOMAINS, engine=engine
+            build_case_study_evaluator(), **SWEEP_DOMAINS, engine=engine, **kwargs
         )
     return WbsnDseProblem(
         build_csma_case_study_evaluator(),
@@ -164,25 +173,24 @@ def sweep_problem(scenario: str, engine: EvaluationEngine | None = None) -> Wbsn
             backoff_exponent_pairs=((3, 5), (4, 6)),
         ),
         engine=engine,
+        **kwargs,
     )
 
 
 class Test8192CaseStudyParity:
     """The acceptance matrix: 8192-design sweeps, both MAC families,
     serial and sharded backends, exhaustive and random search — bitwise
-    identical fronts with the columnar path on vs off, materialising only
-    the front."""
+    identical fronts on the columnar and the object path, the columnar
+    path materialising only the front."""
 
     @pytest.mark.parametrize("scenario", ["beacon", "csma"])
     def test_exhaustive_and_random_fronts_identical(self, scenario):
         reference = ExhaustiveSearch(
-            sweep_problem(scenario), chunk_size=2048, columnar=False
+            sweep_problem(scenario, record_evaluations=True), chunk_size=2048
         ).run()
 
         columnar_problem = sweep_problem(scenario)
-        columnar = ExhaustiveSearch(
-            columnar_problem, chunk_size=2048, columnar=True
-        ).run()
+        columnar = ExhaustiveSearch(columnar_problem, chunk_size=2048).run()
         assert front_signature(reference) == front_signature(columnar)
         assert (
             columnar_problem.engine.stats.designs_materialised
@@ -191,9 +199,7 @@ class Test8192CaseStudyParity:
 
         with EvaluationEngine(backend="sharded", max_workers=2) as engine:
             sharded_problem = sweep_problem(scenario, engine)
-            sharded = ExhaustiveSearch(
-                sharded_problem, chunk_size=2048, columnar=True
-            ).run()
+            sharded = ExhaustiveSearch(sharded_problem, chunk_size=2048).run()
             assert front_signature(reference) == front_signature(sharded)
             assert engine.stats.sharded_designs > 0
             assert engine.stats.designs_materialised == expected_materialised(
@@ -204,10 +210,10 @@ class Test8192CaseStudyParity:
             assert engine.stats.rows_pruned_in_workers > 7000
 
         random_objects = RandomSearch(
-            sweep_problem(scenario), samples=1500, seed=8, columnar=False
+            sweep_problem(scenario, record_evaluations=True), samples=1500, seed=8
         ).run()
         random_columnar = RandomSearch(
-            sweep_problem(scenario), samples=1500, seed=8, columnar=True
+            sweep_problem(scenario), samples=1500, seed=8
         ).run()
         assert front_signature(random_objects) == front_signature(random_columnar)
         assert random_objects
@@ -222,7 +228,7 @@ class TestLazyMaterialisation:
                 build_case_study_evaluator(), **SWEEP_DOMAINS, engine=engine
             )
             assert problem.space.size == 8192
-            front = ExhaustiveSearch(problem, chunk_size=2048, columnar=True).run()
+            front = ExhaustiveSearch(problem, chunk_size=2048).run()
             stats = engine.stats
             assert stats.designs_materialised == expected_materialised(
                 problem, front
@@ -236,9 +242,9 @@ class TestLazyMaterialisation:
         kernel work, and ``rows_skipped_cached`` keeps counting."""
         problem = beacon_problem()
         engine = problem.engine
-        first = ExhaustiveSearch(problem, columnar=True).run()
+        first = ExhaustiveSearch(problem).run()
         stats_before = engine.stats.snapshot()
-        second = ExhaustiveSearch(problem, columnar=True).run()
+        second = ExhaustiveSearch(problem).run()
         delta = engine.stats.snapshot() - stats_before
         assert front_signature(first) == front_signature(second)
         # Every row of the warm sweep was a genotype-cache hit served as a
@@ -251,7 +257,7 @@ class TestLazyMaterialisation:
 
     def test_random_search_materialises_exactly_the_front(self):
         problem = beacon_problem()
-        front = RandomSearch(problem, samples=120, seed=2, columnar=True).run()
+        front = RandomSearch(problem, samples=120, seed=2).run()
         assert problem.engine.stats.designs_materialised == expected_materialised(
             problem, front
         )
@@ -268,7 +274,7 @@ class TestLazyMaterialisation:
         """The scalar path computes design objects anyway and memoises them,
         so columnar materialisation serves the memo — zero new objects."""
         problem = beacon_problem(vectorized=False)
-        front = ExhaustiveSearch(problem, columnar=True).run()
+        front = ExhaustiveSearch(problem).run()
         assert front
         assert problem.engine.stats.designs_materialised == 0
 
@@ -277,7 +283,7 @@ class TestLazyMaterialisation:
         ``evaluate`` too — materialised on demand, never recomputed."""
         problem = beacon_problem()
         engine = problem.engine
-        front = ExhaustiveSearch(problem, columnar=True).run()
+        front = ExhaustiveSearch(problem).run()
         in_memo = len(front) + (
             0
             if any(
@@ -404,50 +410,6 @@ class TestRunningFrontIndices:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             running_front_indices([(0.0, 1.0)], [(0.0, 1.0, 2.0)])
-
-
-class TestSkylineToggleParity:
-    """The skyline kernels are a drop-in for the blockwise dominance
-    matrices: sweeping with them disabled must reproduce the exact same
-    fronts, membership and ordering, on every backend that prunes."""
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_columnar_sweep_fronts_identical_with_skyline_off(self, scenario):
-        build = SCENARIOS[scenario]
-        with use_skyline(True):
-            skyline = ExhaustiveSearch(build(), columnar=True).run()
-        with use_skyline(False):
-            blockwise = ExhaustiveSearch(build(), columnar=True).run()
-        assert front_signature(skyline) == front_signature(blockwise)
-        assert skyline
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_sharded_worker_pruning_fronts_identical_with_skyline_off(
-        self, scenario
-    ):
-        """Workers prune with whatever kernel the toggle selects (the flag
-        is read in each worker process too) — fronts must not move."""
-        build = SCENARIOS[scenario]
-        fronts = {}
-        for enabled in (True, False):
-            with use_skyline(enabled):
-                with EvaluationEngine(backend="sharded", max_workers=2) as engine:
-                    fronts[enabled] = front_signature(
-                        ExhaustiveSearch(build(engine), columnar=True).run()
-                    )
-                    assert engine.stats.rows_pruned_in_workers > 0
-        assert fronts[True] == fronts[False]
-
-    def test_random_search_front_identical_with_skyline_off(self):
-        with use_skyline(True):
-            skyline = RandomSearch(
-                beacon_problem(), samples=150, seed=5, columnar=True
-            ).run()
-        with use_skyline(False):
-            blockwise = RandomSearch(
-                beacon_problem(), samples=150, seed=5, columnar=True
-            ).run()
-        assert front_signature(skyline) == front_signature(blockwise)
 
 
 class TestExhaustiveCap:

@@ -2,9 +2,10 @@
 
 The skyline kernel equivalence suite is the differential harness of the
 sort-based front-extraction kernels: every randomized/adversarial input is
-pruned with the skyline dispatch on and off (:func:`use_skyline`), asserting
-identical membership *and* ordering against the blockwise dominance-matrix
-reference — including duplicate rows, all-equal columns, NaN rows and
+pruned by :func:`pareto_front_indices` and :func:`running_front_indices`
+and by the blockwise dominance-matrix reference
+(``_blockwise_front_indices``), asserting identical membership *and*
+ordering — including duplicate rows, all-equal columns, NaN rows and
 pre-sorted/reversed inputs.  The hypervolume and coverage suites compare the
 restructured implementations against verbatim copies of the originals they
 replaced, asserting exact float equality on random fronts.
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dse.pareto import (
+    _blockwise_front_indices,
     _points_matrix,
     crowding_distance,
     dominates,
@@ -28,7 +30,6 @@ from repro.dse.pareto import (
     pareto_front_indices,
     prune_kernel_counts,
     running_front_indices,
-    use_skyline,
 )
 
 _points = st.lists(
@@ -178,13 +179,16 @@ class TestFrontComparison:
             front_coverage([(1.0, 1.0), (1.0,)], [(1.0, 1.0)])
 
 
+def _blockwise_reference(points) -> list[int]:
+    """Front indices from the blockwise dominance-matrix reference."""
+    if len(points) == 0:
+        return []
+    return _blockwise_front_indices(_points_matrix(points)).tolist()
+
+
 def _both_kernels(points) -> tuple[list[int], list[int]]:
-    """Front indices with the skyline dispatch on and off."""
-    with use_skyline(True):
-        skyline = pareto_front_indices(points)
-    with use_skyline(False):
-        blockwise = pareto_front_indices(points)
-    return skyline, blockwise
+    """Front indices from the production dispatch and from the reference."""
+    return pareto_front_indices(points), _blockwise_reference(points)
 
 
 #: Sizes straddling every dispatch boundary: the trivial cases, the k-D
@@ -259,43 +263,41 @@ class TestSkylineKernelEquivalence:
         skyline, blockwise = _both_kernels(points)
         assert skyline == blockwise
 
-    @pytest.mark.parametrize("width", [2, 3])
-    def test_running_front_updates_agree(self, width):
-        """Chunked archive updates are toggle-invariant too."""
-        rng = np.random.default_rng(23 + width)
-        chunks = [rng.random((600, width)) * 10.0 for _ in range(4)]
-
-        def sweep() -> list[np.ndarray]:
-            archive = np.empty((0, width))
-            fronts = []
-            for chunk in chunks:
-                indices = running_front_indices(archive, chunk)
-                archive = np.concatenate([archive, chunk], axis=0)[indices]
-                fronts.append(archive.copy())
-            return fronts
-
-        with use_skyline(True):
-            fast = sweep()
-        with use_skyline(False):
-            slow = sweep()
-        for fast_front, slow_front in zip(fast, slow):
-            assert np.array_equal(fast_front, slow_front)
+    @pytest.mark.parametrize("kind", ["random", "ties", "nan"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_running_front_updates_agree(self, width, kind):
+        """Each chunked archive update equals the reference front of the
+        archive and the chunk together, membership and ordering alike."""
+        rng = np.random.default_rng(23 + 7 * width + len(kind))
+        chunks = []
+        for _ in range(4):
+            if kind == "ties":
+                chunk = rng.integers(0, 3, size=(600, width)).astype(float)
+            else:
+                chunk = rng.random((600, width)) * 10.0
+            if kind == "nan":
+                rows = rng.choice(600, size=20, replace=False)
+                chunk[rows, rng.integers(0, width, size=20)] = np.nan
+            chunks.append(chunk)
+        archive = np.empty((0, width))
+        for chunk in chunks:
+            pool = np.concatenate([archive, chunk], axis=0)
+            indices = running_front_indices(archive, chunk)
+            assert indices == _blockwise_reference(pool)
+            archive = pool[indices]
 
     def test_dispatch_counters_track_the_kernel_families(self):
         before = prune_kernel_counts()
         rng = np.random.default_rng(0)
-        with use_skyline(True):
-            pareto_front_indices(rng.random((50, 1)))
-            pareto_front_indices(rng.random((50, 2)))
-            pareto_front_indices(rng.random((200, 3)))
-            pareto_front_indices(rng.random((50, 3)))  # small k-D: blockwise
-        with use_skyline(False):
-            pareto_front_indices(rng.random((50, 2)))
+        pareto_front_indices(rng.random((50, 1)))
+        pareto_front_indices(rng.random((50, 2)))
+        pareto_front_indices(rng.random((200, 3)))
+        pareto_front_indices(rng.random((50, 3)))  # small k-D: blockwise
         after = prune_kernel_counts()
         assert after["skyline_1d"] == before["skyline_1d"] + 1
         assert after["skyline_2d"] == before["skyline_2d"] + 1
         assert after["skyline_kd"] == before["skyline_kd"] + 1
-        assert after["blockwise"] == before["blockwise"] + 2
+        assert after["blockwise"] == before["blockwise"] + 1
 
     @settings(max_examples=60, deadline=None)
     @given(points=_points)

@@ -65,13 +65,14 @@ NODE_DOMAINS = dict(
 )
 
 
-def beacon_problem(engine: EvaluationEngine) -> WbsnDseProblem:
+def beacon_problem(engine: EvaluationEngine, **kwargs) -> WbsnDseProblem:
     return WbsnDseProblem(
         build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
         **NODE_DOMAINS,
         payload_bytes=(60, 80),
         order_pairs=((4, 4), (4, 6)),
         engine=engine,
+        **kwargs,
     )
 
 
@@ -829,9 +830,14 @@ class TestRunnerIntegration:
         with pytest.raises(TypeError, match="checkpoint"):
             run_algorithm(NoCheckpoints(), checkpoint_path="x.ckpt")
 
-    def test_object_path_rejects_checkpointing(self):
-        problem = beacon_problem(EvaluationEngine())
+    def test_object_path_rejects_checkpointing(self, tmp_path):
+        problem = beacon_problem(EvaluationEngine(), record_evaluations=True)
+        path = tmp_path / "x.ckpt"
         with pytest.raises(ValueError, match="columnar"):
-            ExhaustiveSearch(problem, columnar=False, checkpoint_path="x.ckpt")
+            ExhaustiveSearch(problem, checkpoint_path=path).run()
         with pytest.raises(ValueError, match="columnar"):
-            RandomSearch(problem, columnar=False, checkpoint_path="x.ckpt")
+            RandomSearch(problem, checkpoint_path=path).run()
+        with pytest.raises(ValueError, match="columnar"):
+            run_algorithm(ExhaustiveSearch(problem), checkpoint_path=str(path))
+        assert not path.exists()
+        assert problem.evaluations == 0

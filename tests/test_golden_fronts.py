@@ -22,7 +22,6 @@ import pytest
 
 from repro.dse.exhaustive import ExhaustiveSearch
 from repro.dse.nsga2 import Nsga2, Nsga2Settings
-from repro.dse.pareto import use_skyline
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.engine import EvaluationEngine
 from repro.experiments.casestudy import (
@@ -155,13 +154,15 @@ def test_columnar_sweep_matches_the_golden_fixture(scenario, columnar):
     """Both exhaustive sweep paths reproduce the committed front exactly.
 
     The columnar path prunes on raw objective columns and materialises only
-    the survivors; the object path materialises every chunk.  Same fixture,
-    same exactness — membership and ordering — for both, which pins the
-    columnar seam against the committed artifacts.
+    the survivors; the object path — taken by a problem recording its
+    evaluations — materialises every chunk.  Same fixture, same exactness —
+    membership and ordering — for both, which pins the columnar seam
+    against the committed artifacts.
     """
     golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
-    problem = SCENARIOS[scenario]()
-    front = ExhaustiveSearch(problem, columnar=columnar).run()
+    problem = SCENARIOS[scenario](record_evaluations=not columnar)
+    assert problem.supports_columnar == columnar
+    front = ExhaustiveSearch(problem).run()
     expected = golden["exhaustive"]
     assert len(front) == len(expected), (scenario, columnar)
     for position, (design, want) in enumerate(zip(front, expected)):
@@ -184,7 +185,7 @@ def test_sharded_columnar_sweep_matches_the_golden_fixture(scenario):
     golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
     with EvaluationEngine(backend="sharded", max_workers=2) as engine:
         problem = SCENARIOS[scenario](engine)
-        front = ExhaustiveSearch(problem, columnar=True).run()
+        front = ExhaustiveSearch(problem).run()
         expected = golden["exhaustive"]
         assert len(front) == len(expected), scenario
         for position, (design, want) in enumerate(zip(front, expected)):
@@ -199,59 +200,6 @@ def test_sharded_columnar_sweep_matches_the_golden_fixture(scenario):
         assert engine.stats.designs_materialised == sum(
             1 for design in front if design.genotype != probe
         )
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("skyline", [False, True])
-def test_skyline_toggle_reproduces_the_golden_fixture(scenario, skyline):
-    """The committed fixtures hold with the skyline kernels on *and* off.
-
-    The fixtures were generated before the sort-based pruning kernels
-    existed; reproducing them with either kernel family proves the new
-    dispatch is a bitwise drop-in — the fixtures never need regeneration.
-    """
-    golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
-    with use_skyline(skyline):
-        computed = compute_fronts(scenario)
-    for algorithm in sorted(golden):
-        expected = golden[algorithm]
-        actual = computed[algorithm]
-        assert len(actual) == len(expected), (scenario, algorithm, skyline)
-        for position, (want, got) in enumerate(zip(expected, actual)):
-            assert got["genotype"] == want["genotype"], (
-                scenario,
-                algorithm,
-                skyline,
-                position,
-            )
-            assert got["objectives"] == want["objectives"], (
-                scenario,
-                algorithm,
-                skyline,
-                position,
-            )
-            assert got["feasible"] == want["feasible"]
-
-
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_explicit_backend_seam_matches_the_golden_fixture(scenario):
-    """Kernels compiled through an explicitly named array backend (the
-    seam's non-default entry point) reproduce the committed fronts —
-    membership and ordering — proving the seam is a bitwise drop-in; the
-    fixtures predate it and never need regeneration."""
-    golden = json.loads((GOLDEN_DIR / f"fronts_{scenario}.json").read_text())
-    problem = SCENARIOS[scenario](array_backend="numpy")
-    assert problem.engine.stats.array_backend == "numpy"
-    front = ExhaustiveSearch(problem).run()
-    expected = golden["exhaustive"]
-    assert len(front) == len(expected), scenario
-    for position, (design, want) in enumerate(zip(front, expected)):
-        assert list(design.genotype) == want["genotype"], (scenario, position)
-        assert list(design.objectives) == want["objectives"], (
-            scenario,
-            position,
-        )
-        assert design.feasible == want["feasible"]
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

@@ -19,7 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dse.pareto import pareto_front_indices, use_skyline
+from repro.dse.pareto import (
+    _blockwise_front_indices,
+    pareto_front_indices,
+)
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.engine import (
     EvaluationEngine,
@@ -211,49 +214,16 @@ def test_sharded_columnar_batches_are_bit_identical(scenario):
         assert engine.stats.sharded_designs > 0
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-@pytest.mark.parametrize("backend", ["numpy", "module"])
-def test_explicit_backend_batches_are_bit_identical(scenario, backend):
-    """The array-backend seam is semantically invisible: kernels compiled
-    through an explicitly named backend (or a namespace module handed in
-    directly) equal the default-compiled kernels bit for bit, and the
-    resolved backend name is surfaced in the engine stats."""
-    import numpy
-
-    build, mac_parameterisation = SCENARIOS[scenario]
-    kwargs = {}
-    if mac_parameterisation is not None:
-        kwargs["mac_parameterisation"] = mac_parameterisation()
-    default = WbsnDseProblem(build(), engine=EvaluationEngine(), **kwargs)
-    explicit = WbsnDseProblem(
-        build(),
-        engine=EvaluationEngine(),
-        array_backend="numpy" if backend == "numpy" else numpy,
-        **kwargs,
-    )
-    assert explicit.vectorized_kernel.backend_name == "numpy"
-    assert explicit.engine.stats.array_backend == "numpy"
-    assert default.engine.stats.array_backend == "numpy"
-    rng = np.random.default_rng(FUZZ_SEEDS[2])
-    genotypes = [default.space.random_genotype(rng) for _ in range(BATCH)]
-    want = default.evaluate_batch_columns(genotypes)
-    got = explicit.evaluate_batch_columns(genotypes)
-    assert got.objectives.tolist() == want.objectives.tolist()
-    assert got.feasible.tolist() == want.feasible.tolist()
-    assert got.violation_counts.tolist() == want.violation_counts.tolist()
-
-
 @pytest.mark.parametrize("scenario", ["beacon-full", "csma-full"])
-def test_pickled_kernel_rebinds_its_backend_and_stays_identical(scenario):
-    """Kernels cross process boundaries by name, not by module: a pickle
-    round trip drops the unpicklable namespace, re-resolves it from
-    ``backend_name`` on load, and evaluates bit-identical columns."""
+def test_pickled_kernel_stays_identical(scenario):
+    """Kernels cross process boundaries pickled (the process and sharded
+    backends ship them to workers): a round trip evaluates bit-identical
+    columns."""
     import pickle
 
     vectorized, _ = build_pair(scenario)
     kernel = vectorized.vectorized_kernel
     clone = pickle.loads(pickle.dumps(kernel))
-    assert clone.backend_name == kernel.backend_name == "numpy"
     rng = np.random.default_rng(FUZZ_SEEDS[1])
     genotypes = [vectorized.space.random_genotype(rng) for _ in range(48)]
     matrix = vectorized.space.index_matrix(genotypes)
@@ -281,19 +251,16 @@ def test_fuzz_exercises_both_feasibility_outcomes():
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_skyline_fronts_match_blockwise_fronts(scenario, seed):
     """Front extraction over fuzzed objective rows is kernel-invariant:
-    the sort-based skyline kernels and the blockwise dominance matrices
-    pick the same rows in the same order, bit for bit."""
+    the sort-based skyline kernels and the blockwise reference pick the
+    same rows in the same order, bit for bit."""
     vectorized, _ = build_pair(scenario)
     rng = np.random.default_rng(seed)
     genotypes = [vectorized.space.random_genotype(rng) for _ in range(BATCH)]
     batch = vectorized.evaluate_batch_columns(genotypes)
     pools = [batch.objectives, batch.objectives[batch.feasible]]
     for pool in pools:
-        with use_skyline(True):
-            skyline = pareto_front_indices(pool)
-        with use_skyline(False):
-            blockwise = pareto_front_indices(pool)
-        assert skyline == blockwise, (scenario, seed)
+        blockwise = _blockwise_front_indices(pool).tolist()
+        assert pareto_front_indices(pool) == blockwise, (scenario, seed)
 
 
 @pytest.mark.parametrize("scenario", ["beacon-full", "csma-full"])

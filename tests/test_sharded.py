@@ -388,12 +388,10 @@ class TestWorkerSidePruning:
     ):
         build = SCENARIOS[scenario]
         want = front_signature(
-            ExhaustiveSearch(build(EvaluationEngine()), columnar=True).run()
+            ExhaustiveSearch(build(EvaluationEngine())).run()
         )
         with sharded_engine() as engine:
-            front = ExhaustiveSearch(
-                build(engine), chunk_size=16, columnar=True
-            ).run()
+            front = ExhaustiveSearch(build(engine), chunk_size=16).run()
             assert front_signature(front) == want, scenario
             stats = engine.stats
             assert stats.rows_pruned_in_workers > 0
@@ -509,9 +507,7 @@ class TestWorkerSidePruning:
 
         with sharded_engine() as engine:
             problem = beacon_problem(engine)
-            result = run_algorithm(
-                ExhaustiveSearch(problem, chunk_size=16, columnar=True)
-            )
+            result = run_algorithm(ExhaustiveSearch(problem, chunk_size=16))
             assert result.rows_pruned_in_workers > 0
             assert result.rows_pruned_in_workers == (
                 engine.stats.rows_pruned_in_workers

@@ -1,12 +1,13 @@
 """Property suite: the streaming random sweep changes memory, never results.
 
-:class:`~repro.dse.random_search.RandomSearch` defaults to a *streaming*
-columnar sweep — distinct genotypes are drawn lazily in chunk-sized blocks
-and pruned into a running front, so the full sample list never exists in
-memory.  The contract that makes this safe is bitwise parity with the
-materialised one-shot path: evaluation consumes no randomness, so the draw
-stream is a function of the initial RNG state alone, and the chunked
-running-front pruning is order-identical to the one-shot front extraction.
+:class:`~repro.dse.random_search.RandomSearch` sweeps columnar problems
+in a *streaming* fashion — distinct genotypes are drawn lazily in
+chunk-sized blocks and pruned into a running front, so the full sample list
+never exists in memory.  The contract that makes this safe is bitwise parity
+across chunkings, down to a single chunk holding every sample, and with the
+object path's one-shot front extraction: evaluation consumes no randomness,
+so the draw stream is a function of the initial RNG state alone, and the
+chunked running-front pruning is order-identical to the one-shot extraction.
 
 This file pins that contract property-style, across seeds, chunk sizes,
 resume-from-checkpoint and both MAC families (beacon-enabled GTS and
@@ -39,17 +40,18 @@ NODE_DOMAINS = dict(
 )
 
 
-def beacon_problem() -> WbsnDseProblem:
+def beacon_problem(**kwargs) -> WbsnDseProblem:
     return WbsnDseProblem(
         build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
         **NODE_DOMAINS,
         payload_bytes=(60, 80),
         order_pairs=((4, 4), (4, 6)),
         engine=EvaluationEngine(),
+        **kwargs,
     )
 
 
-def csma_problem() -> WbsnDseProblem:
+def csma_problem(**kwargs) -> WbsnDseProblem:
     return WbsnDseProblem(
         build_csma_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
         **NODE_DOMAINS,
@@ -58,6 +60,7 @@ def csma_problem() -> WbsnDseProblem:
             backoff_exponent_pairs=((3, 5), (4, 6)),
         ),
         engine=EvaluationEngine(),
+        **kwargs,
     )
 
 
@@ -123,14 +126,10 @@ class TestStreamingFrontParity:
         self, family, seed, chunk_size
     ):
         reference = RandomSearch(
-            FAMILIES[family](), samples=60, seed=seed, streaming=False
+            FAMILIES[family](), samples=60, seed=seed, chunk_size=60
         ).run()
         streamed = RandomSearch(
-            FAMILIES[family](),
-            samples=60,
-            seed=seed,
-            chunk_size=chunk_size,
-            streaming=True,
+            FAMILIES[family](), samples=60, seed=seed, chunk_size=chunk_size
         ).run()
         assert front_signature(streamed) == front_signature(reference)
 
@@ -144,49 +143,9 @@ class TestStreamingFrontParity:
     def test_scalar_path_still_matches_columnar(self, family):
         columnar = RandomSearch(FAMILIES[family](), samples=40, seed=2).run()
         scalar = RandomSearch(
-            FAMILIES[family](), samples=40, seed=2, columnar=False
+            FAMILIES[family](record_evaluations=True), samples=40, seed=2
         ).run()
         assert front_signature(columnar) == front_signature(scalar)
-
-
-class TestRunnerBackendThreading:
-    def test_run_algorithm_threads_the_backend_choice(self):
-        """``run_algorithm(array_backend=...)`` recompiles the kernel onto
-        the named backend before the run, surfaces the resolved name on the
-        result, and changes nothing about the front."""
-        reference = run_algorithm(
-            RandomSearch(beacon_problem(), samples=40, seed=4)
-        )
-        result = run_algorithm(
-            RandomSearch(beacon_problem(), samples=40, seed=4),
-            array_backend="numpy",
-        )
-        assert result.array_backend == "numpy"
-        assert front_signature(result.front) == front_signature(
-            reference.front
-        )
-
-    def test_backend_choice_needs_a_vectorized_kernel(self):
-        problem = WbsnDseProblem(
-            build_case_study_evaluator(n_nodes=2, applications=("dwt", "cs")),
-            **NODE_DOMAINS,
-            payload_bytes=(60, 80),
-            order_pairs=((4, 4), (4, 6)),
-            engine=EvaluationEngine(),
-            vectorized=False,
-        )
-        with pytest.raises(RuntimeError, match="no compiled vectorized"):
-            run_algorithm(
-                RandomSearch(problem, samples=10, seed=0),
-                array_backend="numpy",
-            )
-
-    def test_unknown_backend_fails_before_the_run(self):
-        with pytest.raises(KeyError, match="numpy"):
-            run_algorithm(
-                RandomSearch(beacon_problem(), samples=10, seed=0),
-                array_backend="no-such-backend",
-            )
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -195,7 +154,7 @@ class TestStreamingResumeParity:
         self, family, tmp_path
     ):
         reference = RandomSearch(
-            FAMILIES[family](), samples=72, seed=9, streaming=False
+            FAMILIES[family](), samples=72, seed=9, chunk_size=72
         ).run()
         path = tmp_path / "rs.ckpt"
         plan = FaultPlan(
@@ -259,7 +218,7 @@ class TestStreamingResumeParity:
         """Chunk size is a performance knob, not part of the draw stream:
         resuming with a different chunk size must not change the front."""
         reference = RandomSearch(
-            FAMILIES[family](), samples=72, seed=9, streaming=False
+            FAMILIES[family](), samples=72, seed=9, chunk_size=72
         ).run()
         path = tmp_path / "rs.ckpt"
         plan = FaultPlan(
