@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from repro.dse.exhaustive import ExhaustiveCapWarning, ExhaustiveSearch
-from repro.dse.pareto import pareto_front_indices, running_front_indices
+from repro.dse.pareto import (
+    _blockwise_front_indices,
+    pareto_front_indices,
+    running_front_indices,
+)
 from repro.dse.problem import WbsnDseProblem, csma_mac_parameterisation
 from repro.dse.random_search import RandomSearch
 from repro.engine import ColumnarBatchResult, EvaluationEngine
@@ -410,6 +414,57 @@ class TestRunningFrontIndices:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             running_front_indices([(0.0, 1.0)], [(0.0, 1.0, 2.0)])
+
+
+def reference_front(problem, genotypes):
+    """The front a sweep over ``genotypes`` must return, in order.
+
+    One columnar batch over every genotype, feasible rows only when any
+    exist, pruned by the blockwise dominance matrices — the quadratic
+    reference the skyline kernels and the chunked running front replace.
+    """
+    batch = problem.evaluate_batch_columns(list(genotypes))
+    rows = np.flatnonzero(batch.feasible)
+    pool = batch.take(rows) if rows.size else batch
+    return pool.take(_blockwise_front_indices(pool.objectives)).materialise()
+
+
+class TestSweepFrontsMatchBlockwiseReference:
+    """The skyline kernels are a drop-in for the blockwise dominance
+    matrices: chunked sweeps, pruned through the kernel dispatch, return
+    the blockwise front of everything they evaluated — membership and
+    ordering — on every backend that prunes."""
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_columnar_sweep_front_is_the_reference_front(self, scenario):
+        build = SCENARIOS[scenario]
+        problem = build()
+        front = ExhaustiveSearch(problem, chunk_size=16).run()
+        expected = reference_front(build(), problem.space.enumerate_genotypes())
+        assert front_signature(front) == front_signature(expected)
+        assert front
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_sharded_worker_pruning_front_is_the_reference_front(self, scenario):
+        """Workers prune each shard through the same dispatch before the
+        parent merges — the merged front must still be the reference."""
+        build = SCENARIOS[scenario]
+        with EvaluationEngine(backend="sharded", max_workers=2) as engine:
+            problem = build(engine)
+            front = ExhaustiveSearch(problem).run()
+            assert engine.stats.rows_pruned_in_workers > 0
+        expected = reference_front(build(), problem.space.enumerate_genotypes())
+        assert front_signature(front) == front_signature(expected)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_random_search_front_is_the_reference_front_of_its_draws(
+        self, scenario
+    ):
+        build = SCENARIOS[scenario]
+        search = RandomSearch(build(), samples=150, seed=5, chunk_size=16)
+        draws = list(RandomSearch(build(), samples=150, seed=5)._draw_stream())
+        expected = reference_front(build(), draws)
+        assert front_signature(search.run()) == front_signature(expected)
 
 
 class TestExhaustiveCap:

@@ -214,7 +214,38 @@ def test_sharded_columnar_batches_are_bit_identical(scenario):
         assert engine.stats.sharded_designs > 0
 
 
-@pytest.mark.parametrize("scenario", ["beacon-full", "csma-full"])
+#: Ways to cut one batch into consecutive kernel calls.
+SPLITS = {
+    "singletons": lambda count: [1] * count,
+    "uneven": lambda count: [1, 7, 31, count - 39],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("split", sorted(SPLITS))
+def test_split_batches_are_bit_identical(scenario, split):
+    """Kernel rows are independent: evaluating a batch in consecutive
+    slices — down to one row per call — gives the whole-batch columns bit
+    for bit, so chunk and shard boundaries never change a result."""
+    vectorized, _ = build_pair(scenario)
+    kernel = vectorized.vectorized_kernel
+    rng = np.random.default_rng(FUZZ_SEEDS[3])
+    genotypes = [vectorized.space.random_genotype(rng) for _ in range(BATCH)]
+    matrix = vectorized.space.index_matrix(genotypes)
+    want = kernel.evaluate_columns(matrix)
+    sizes = SPLITS[split](len(matrix))
+    assert sum(sizes) == len(matrix)
+    bounds = np.cumsum([0, *sizes])
+    parts = [
+        kernel.evaluate_columns(matrix[start:stop])
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+    for column in ("objectives", "feasible", "violation_counts"):
+        got = np.concatenate([getattr(part, column) for part in parts])
+        assert got.tolist() == getattr(want, column).tolist(), (scenario, column)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_pickled_kernel_stays_identical(scenario):
     """Kernels cross process boundaries pickled (the process and sharded
     backends ship them to workers): a round trip evaluates bit-identical

@@ -149,6 +149,62 @@ class TestStreamingFrontParity:
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestRunnerStreaming:
+    def test_run_algorithm_returns_the_bare_run_front(self, family):
+        """The runner adds accounting, never a different front."""
+        reference = RandomSearch(FAMILIES[family](), samples=40, seed=4).run()
+        result = run_algorithm(
+            RandomSearch(FAMILIES[family](), samples=40, seed=4)
+        )
+        assert front_signature(result.front) == front_signature(reference)
+        assert result.engine_stats is not None
+        assert result.evaluations > 0
+
+    def test_front_callback_sees_every_chunk_and_the_final_front(self, family):
+        draws = len(
+            list(RandomSearch(FAMILIES[family](), samples=60, seed=1)._draw_stream())
+        )
+        cursors: list[int] = []
+        archives = []
+
+        def record(archive, cursor):
+            cursors.append(cursor)
+            archives.append(archive)
+
+        result = run_algorithm(
+            RandomSearch(FAMILIES[family](), samples=60, seed=1, chunk_size=8),
+            front_callback=record,
+        )
+        assert cursors == [min(end, draws) for end in range(8, draws + 8, 8)]
+        assert front_signature(archives[-1].materialise()) == front_signature(
+            result.front
+        )
+
+    def test_front_callback_exception_aborts_between_chunks(self, family):
+        problem = FAMILIES[family]()
+        before = problem.engine.stats.snapshot()
+        cursors: list[int] = []
+
+        class ClientGone(Exception):
+            pass
+
+        def abort_after_two_chunks(archive, cursor):
+            cursors.append(cursor)
+            if len(cursors) == 2:
+                raise ClientGone("client went away")
+
+        with pytest.raises(ClientGone, match="client went away"):
+            run_algorithm(
+                RandomSearch(problem, samples=60, seed=1, chunk_size=8),
+                front_callback=abort_after_two_chunks,
+            )
+        assert cursors == [8, 16]
+        # No third chunk was evaluated.
+        delta = problem.engine.stats.snapshot() - before
+        assert delta.vectorized_designs <= 16
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestStreamingResumeParity:
     def test_aborted_streaming_sweep_resumes_bitwise_identically(
         self, family, tmp_path
