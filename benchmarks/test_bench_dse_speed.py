@@ -23,8 +23,9 @@ object-path vs columnar-path sweep wall clock, with a hard gate on lazy
 materialisation (the columnar sweep must materialise exactly its front —
 ``EngineStats.designs_materialised``).  The ``streaming_sweep`` entry
 records peak RSS and wall clock of million-design sweeps run in child
-interpreters, hard-failing if memory scales with the space size or any
-design beyond the front is materialised.
+interpreters, hard-failing if memory scales with the space size, if any
+design beyond the front is materialised, or if the default engine's row
+store costs more than 100 bytes per design.
 """
 
 from __future__ import annotations
@@ -871,11 +872,15 @@ def main() -> None:
 
     from repro.experiments.casestudy import build_case_study_evaluator
 
-    # Uncached on purpose: a genotype memo over a million-design sweep IS
-    # O(space) memory, which is exactly what this bench must rule out.
+    # Uncached unless the spec asks for the default engine: the genotype
+    # memo of a million-design sweep is O(space), and the default-config
+    # child measures what its row store costs per design.
+    if spec.get("default_engine"):
+        engine = EvaluationEngine()
+    else:
+        engine = EvaluationEngine(genotype_cache=False, node_cache=False)
     problem = WbsnDseProblem(
-        build_case_study_evaluator(n_nodes=spec["n_nodes"]),
-        engine=EvaluationEngine(genotype_cache=False, node_cache=False),
+        build_case_study_evaluator(n_nodes=spec["n_nodes"]), engine=engine
     )
     report = {"mode": spec["mode"], "space_size": problem.space.size}
     if spec["mode"] == "baseline":
@@ -950,7 +955,11 @@ def test_streaming_sweep_flat_memory(reporter, tmp_path):
       ``designs_materialised`` exceeds the front size on any sweep;
     * the **streaming random sweep's memory does not scale with the space**:
       the same draw count over a 32x larger space (4-node, 33.5M designs)
-      must hold peak RSS within a flat-ratio bound of the 1M-space run.
+      must hold peak RSS within a flat-ratio bound of the 1M-space run;
+    * the **default-config engine** (genotype and node caches on) sweeps
+      the same 1,048,576 designs with its row store costing at most 100
+      bytes per design: its peak RSS stays within the uncached child's
+      plus ``100 B x space size``.
     """
     chunk_size = 8192
     samples = 24_000
@@ -961,6 +970,15 @@ def test_streaming_sweep_flat_memory(reporter, tmp_path):
     exhaustive = _run_streaming_child(
         tmp_path,
         {"mode": "exhaustive", "n_nodes": 3, "chunk_size": chunk_size},
+    )
+    cached = _run_streaming_child(
+        tmp_path,
+        {
+            "mode": "exhaustive",
+            "n_nodes": 3,
+            "chunk_size": chunk_size,
+            "default_engine": True,
+        },
     )
     random_million = _run_streaming_child(
         tmp_path,
@@ -1006,6 +1024,16 @@ def test_streaming_sweep_flat_memory(reporter, tmp_path):
     rss_headroom_kb = 100 * 1024
     assert exhaustive["peak_rss_kb"] <= baseline["peak_rss_kb"] + rss_headroom_kb
 
+    # Hard gate: the default engine's row store holds every design of the
+    # sweep as column arrays, at most 100 bytes each (per-row Python tuples
+    # cost about 450).  It computes the space minus its construction probe.
+    assert cached["front_size"] == exhaustive["front_size"]
+    assert cached["model_evaluations"] == space_size - 1
+    store_bytes_per_design = (
+        (cached["peak_rss_kb"] - exhaustive["peak_rss_kb"]) * 1024 / space_size
+    )
+    assert cached["peak_rss_kb"] <= exhaustive["peak_rss_kb"] + 100 * space_size / 1024
+
     # Hard gate: peak RSS must not scale with the space.  The spaces differ
     # 32x; a streaming sweep holds the seen-set (O(samples)) and one chunk,
     # so the control run stays within a flat ratio of the million-run.
@@ -1021,6 +1049,9 @@ def test_streaming_sweep_flat_memory(reporter, tmp_path):
                 / exhaustive["wall_clock_s"],
                 "exhaustive_peak_rss_kb": exhaustive["peak_rss_kb"],
                 "baseline_peak_rss_kb": baseline["peak_rss_kb"],
+                "default_engine_wall_clock_s": cached["wall_clock_s"],
+                "default_engine_peak_rss_kb": cached["peak_rss_kb"],
+                "default_engine_store_bytes_per_design": store_bytes_per_design,
                 "front_size": exhaustive["front_size"],
                 "designs_materialised": exhaustive["designs_materialised"],
                 "random_samples": samples,
@@ -1040,6 +1071,10 @@ def test_streaming_sweep_flat_memory(reporter, tmp_path):
             f"({space_size / exhaustive['wall_clock_s']:.0f}/s), peak RSS "
             f"{exhaustive['peak_rss_kb'] / 1024:.0f} MB (baseline child "
             f"{baseline['peak_rss_kb'] / 1024:.0f} MB)",
+            f"default engine, same sweep: {cached['wall_clock_s']:.1f} s, peak "
+            f"RSS {cached['peak_rss_kb'] / 1024:.0f} MB "
+            f"({store_bytes_per_design:.0f} B per design over uncached; "
+            "gate 100 B)",
             f"designs materialised: {exhaustive['designs_materialised']} "
             f"(front size {exhaustive['front_size']}; hard gate)",
             f"random sweep ({samples} draws): peak RSS "

@@ -147,8 +147,9 @@ class DseResult:
 
     @property
     def rows_loaded_from_disk(self) -> int:
-        """Column rows bulk-memoised from a persistent cache segment before
-        the sweep ran (``run_algorithm(cache_dir=...)`` warm starts)."""
+        """Column rows a persistent cache segment added to the engine's row
+        store before the sweep ran (``run_algorithm(cache_dir=...)`` warm
+        starts)."""
         if self.engine_stats is None:
             return 0
         return self.engine_stats.rows_loaded_from_disk
@@ -206,14 +207,14 @@ def run_algorithm(
     reject the argument with a ``TypeError``.
 
     ``cache_dir`` routes to the engine's persistent cache tier
-    (:mod:`repro.engine.persist`): before the run the engine bulk-memoises
-    the problem's on-disk column segment (warm start — a sweep the segment
-    fully covers performs zero model evaluations and returns a front
-    bitwise identical to a cold run), and after a successful run the
-    engine's memos are spilled back, merged into the segment, for the next
-    process.  Requires an engine-backed problem (``TypeError`` otherwise);
-    an unusable segment warns (:class:`~repro.engine.CacheTierWarning`)
-    and the run starts cold.
+    (:mod:`repro.engine.persist`): before the run the engine loads the
+    problem's on-disk column segment into its row store (warm start — a
+    sweep the segment fully covers performs zero model evaluations and
+    returns a front bitwise identical to a cold run), and after a
+    successful run the engine's rows are spilled back, merged into the
+    segment, for the next process.  Requires an engine-backed problem
+    (``TypeError`` otherwise); an unusable segment warns
+    (:class:`~repro.engine.CacheTierWarning`) and the run starts cold.
 
     ``front_callback`` routes to the algorithm's streaming-front support
     (the columnar exhaustive and random sweeps): the callable receives the

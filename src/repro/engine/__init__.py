@@ -11,6 +11,10 @@ serving component every search algorithm shares:
   columnar sibling ``evaluate_many_columnar`` serves the same batch as a
   :class:`ColumnarBatchResult` of raw columns so sweeps can prune before
   materialising any design object;
+* :mod:`repro.engine.memo` — :class:`~repro.engine.memo.ColumnMemo`, the
+  engine's sorted, array-backed row store keyed by genotype rank (batched
+  lookups and inserts, exact LRU bound, zero-copy adoption of a loaded
+  segment);
 * :mod:`repro.engine.cache` — :class:`CachedNetworkEvaluator`, the node-level
   cache over the evaluator's pure per-node stage, optionally bounded by an
   LRU eviction policy (``max_entries``); and :class:`SharedGenotypeCache`,
@@ -39,7 +43,7 @@ serving component every search algorithm shares:
   checkpoint/resume support;
 * :mod:`repro.engine.persist` — the persistent cache tier: per-fingerprint
   on-disk column segments (``EvaluationEngine(cache_dir=...)`` /
-  ``run_algorithm(cache_dir=...)``) spilled and bulk-memoised with the
+  ``run_algorithm(cache_dir=...)``) spilled and loaded with the
   checkpoint module's atomic-write and validation discipline, so repeated
   campaigns warm-start across processes with bitwise-identical fronts.
 

@@ -13,11 +13,11 @@ owns every cross-cutting evaluation concern:
   component set (the Figure-5 full/baseline pair shares one cache this
   way);
 * **persistent cache tier** (optional) — an engine given a ``cache_dir``
-  bulk-memoises the on-disk column segment of its problem's evaluation
-  fingerprint at bind time and spills its memos back on close
-  (:mod:`repro.engine.persist`), so repeated campaigns warm-start across
-  processes — a fully covered sweep re-runs without any model evaluation,
-  bitwise identical to its cold run;
+  adopts the on-disk column segment of its problem's evaluation fingerprint
+  as the sorted base of its row store at bind time and spills the store
+  back on close (:mod:`repro.engine.persist`), so repeated campaigns
+  warm-start across processes — a fully covered sweep re-runs without any
+  model evaluation, bitwise identical to its cold run;
 * **node-level cache** — below a genotype miss, the pure per-node stage of
   the evaluator is memoised by the problem's
   :class:`~repro.engine.cache.CachedNetworkEvaluator` (optionally bounded by
@@ -81,9 +81,9 @@ is what keeps cached and uncached runs bitwise identical.
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -100,11 +100,12 @@ from repro.engine.backends import (
     make_backend,
 )
 from repro.engine.cache import SharedGenotypeCache
+from repro.engine.memo import ColumnMemo
 from repro.engine.persist import (
     CacheTierWarning,
     load_segment_if_valid,
     segment_path,
-    spill_rows,
+    spill_columns,
 )
 from repro.engine.stats import EngineStats
 
@@ -113,8 +114,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
 
 __all__ = ["ColumnarBatchResult", "EvaluationEngine"]
 
-#: Column-row record memoised per genotype on the columnar path:
-#: ``(objectives, feasible, violation count)`` — never a design object.
+#: A design flattened into a column row:
+#: ``(objectives, feasible, violation count)``.
 _ColumnRow = tuple[tuple[float, ...], bool, int]
 
 
@@ -231,21 +232,26 @@ class EvaluationEngine:
             components.  Requires the genotype cache and a problem exposing
             ``evaluation_fingerprint`` / ``objective_components``; silently
             inactive otherwise.
-        column_memo_max_entries: optional LRU bound on the column-row memo
-            (the columnar twin of the design memo); when set, the
-            least-recently-used row is evicted on overflow, counted in
+        column_memo_max_entries: optional LRU bound on the column-row store
+            (:class:`~repro.engine.memo.ColumnMemo`, which holds a row for
+            every genotype any path memoised); when set, the
+            least-recently-used rows beyond the bound are evicted at the
+            end of each batch, counted in
             ``EngineStats.column_memo_evictions`` (an eviction only costs a
             future recompute — it can never change results).  ``None``
-            keeps the memo unbounded.
+            keeps the store unbounded.
         cache_dir: directory of the persistent cache tier
             (:mod:`repro.engine.persist`).  At :meth:`bind` the engine
-            bulk-memoises the problem's fingerprint segment (if one exists)
-            into the column memo, so sweeps warm-start without a single
+            adopts the problem's fingerprint segment (if one exists) as the
+            sorted base of its row store — its memory-mapped columns serve
+            lookups without a copy — so sweeps warm-start without a single
             model evaluation; at :meth:`close` (and through
-            ``run_algorithm(cache_dir=...)``) the memos are spilled back.
-            Unusable segments warn (:class:`CacheTierWarning`) and the
-            engine starts cold.  Requires the genotype cache and a
-            fingerprintable problem; inactive (with a warning) otherwise.
+            ``run_algorithm(cache_dir=...)``) the store is spilled back,
+            and a store holding nothing beyond the unchanged segment it
+            loaded only refreshes the file's mtime.  Unusable segments warn
+            (:class:`CacheTierWarning`) and the engine starts cold.
+            Requires the genotype cache and a fingerprintable problem;
+            inactive (with a warning) otherwise.
     """
 
     def __init__(
@@ -284,19 +290,22 @@ class EvaluationEngine:
         )
         self.stats = stats if stats is not None else EngineStats()
         self.shared_cache = shared_cache
+        # Materialised design objects by genotype.  Every design memoised
+        # here also has a row in ``_rows``, so an unbounded engine never
+        # consults this dict for a row-store miss.
         self._memo: dict[tuple[int, ...], "EvaluatedDesign"] = {}
-        # Columnar twin of the design memo: raw column rows keyed by
-        # genotype, so cached rows re-enter pruning as columns without an
-        # object round-trip (see :meth:`evaluate_many_columnar`).  An
-        # OrderedDict so the optional ``column_memo_max_entries`` bound can
-        # evict in LRU order.
-        self._column_memo: OrderedDict[tuple[int, ...], _ColumnRow] = OrderedDict()
-        # Keys whose rows were bulk-memoised off a persistent cache segment
-        # — their first hit counts as a ``persistent_cache_hits``.
-        self._disk_keys: set[tuple[int, ...]] = set()
+        # The row store: one sorted column row per memoised genotype, keyed
+        # by genotype rank (created at the first use after bind, when the
+        # space is known).  Columnar batches and ``cached_row_flags`` read
+        # only this.  Every hit on a row adopted from a persistent segment
+        # (source ``LOADED``) counts in ``persistent_cache_hits``.
+        self._rows: ColumnMemo | None = None
         # Segment paths already consumed, so repeated warm-start requests
         # (constructor cache_dir plus runner cache_dir) load once.
         self._segments_loaded: set[Path] = set()
+        # ``(inode, size, mtime_ns)`` of each segment file rows were adopted
+        # from, so a spill holding nothing new can skip the rewrite.
+        self._disk_origin: dict[Path, tuple[int, int, int]] = {}
         self._problem: Any = None
         self._fingerprint: bytes | None = None
         self._objective_components: tuple[str, ...] | None = None
@@ -336,6 +345,11 @@ class EvaluationEngine:
         """Number of memoised designs."""
         return len(self._memo)
 
+    @property
+    def column_memo_size(self) -> int:
+        """Number of column rows in the row store."""
+        return 0 if self._rows is None else len(self._rows)
+
     def evaluate(self, genotype: Sequence[int]) -> "EvaluatedDesign":
         """Evaluate one genotype, serving it from the memo cache if possible.
 
@@ -345,27 +359,28 @@ class EvaluationEngine:
         started = time.perf_counter()
         key = tuple(int(gene) for gene in genotype)
         self.stats.genotype_requests += 1
-        design = self._memo.get(key) if self.genotype_cache_enabled else None
-        if design is None and self.genotype_cache_enabled and (
-            self._column_memo_hit(key) is not None
-        ):
-            # Columnar sweeps memoise raw column rows; serve the object path
-            # from them too (materialised on demand, then memoised).
-            design = self._materialise_column_keys([key])[0]
-            self.stats.genotype_cache_hits += 1
-        elif design is None:
+        design = None
+        if self.genotype_cache_enabled:
+            design = self._memo.get(key)
+            if design is None:
+                slots = self._find([key])
+                if slots[0] >= 0:
+                    # Columnar sweeps store raw column rows; serve the object
+                    # path from them too (materialised, then memoised).
+                    design = self._materialise_stored([key], slots)[0]
+            if design is not None:
+                self.stats.genotype_cache_hits += 1
+        if design is None:
             design = self._shared_lookup(key)
             if design is not None:
                 self.stats.shared_cache_hits += 1
-                self._memo[key] = design
             else:
                 design = self._problem.compute_design(key)
                 self.stats.model_evaluations += 1
-                if self.genotype_cache_enabled:
-                    self._memo[key] = design
                 self._shared_store(key, design)
-        else:
-            self.stats.genotype_cache_hits += 1
+            if self.genotype_cache_enabled:
+                self._memo[key] = design
+                self._remember_designs([key], [design])
         self.stats.wall_time_s += time.perf_counter() - started
         return design
 
@@ -380,53 +395,45 @@ class EvaluationEngine:
         :attr:`chunk_size`.
         """
         started = time.perf_counter()
-        self.stats.batches += 1
-        self.stats.genotype_requests += len(genotypes)
+        stats = self.stats
+        stats.batches += 1
+        stats.genotype_requests += len(genotypes)
 
         cached_mask: list[bool] | None = None
         unique: list[tuple[int, ...]] | None = None
+        shared_keys: list[tuple[int, ...]] = []
         if self.genotype_cache_enabled:
             keys = [tuple(map(int, genotype)) for genotype in genotypes]
             # One row per *distinct* genotype, plus a flag marking the rows a
             # cache already answered — the cached-row mask handed to the
             # columnar paths, so memoised rows skip even the column gather.
-            unique = []
-            cached_mask = []
+            unique = list(dict.fromkeys(keys))
+            undesigned = [key for key in unique if key not in self._memo]
+            stats.genotype_cache_hits += len(keys) - len(undesigned)
             pending: list[tuple[int, ...]] = []
-            column_hits: list[tuple[int, ...]] = []
-            seen: set[tuple[int, ...]] = set()
-            for key in keys:
-                if key in seen:
-                    self.stats.genotype_cache_hits += 1
-                    continue
-                seen.add(key)
-                if key in self._memo:
-                    self.stats.genotype_cache_hits += 1
-                    unique.append(key)
-                    cached_mask.append(True)
-                    continue
-                if self._column_memo_hit(key) is not None:
-                    # Rows memoised as raw columns by a columnar sweep serve
-                    # the object path too — materialised below, in one batch.
-                    self.stats.genotype_cache_hits += 1
-                    unique.append(key)
-                    cached_mask.append(True)
-                    column_hits.append(key)
-                    continue
-                shared = self._shared_lookup(key)
-                if shared is not None:
-                    self.stats.shared_cache_hits += 1
-                    self._memo[key] = shared
-                    unique.append(key)
-                    cached_mask.append(True)
-                    continue
-                unique.append(key)
-                cached_mask.append(False)
-                pending.append(key)
-            if column_hits:
-                # Materialise column-memoised rows into the design memo so
-                # the result lookup below can serve them.
-                self._materialise_column_keys(column_hits)
+            if undesigned:
+                slots = self._find(undesigned)
+                stored = slots >= 0
+                if stored.any():
+                    # Rows stored as raw columns by a columnar sweep serve
+                    # the object path too — materialised in one batch.
+                    self._materialise_stored(
+                        [key for key, hit in zip(undesigned, stored) if hit],
+                        slots[stored],
+                    )
+                    stats.genotype_cache_hits += int(stored.sum())
+                for key, hit in zip(undesigned, stored.tolist()):
+                    if hit:
+                        continue
+                    shared = self._shared_lookup(key)
+                    if shared is not None:
+                        stats.shared_cache_hits += 1
+                        self._memo[key] = shared
+                        shared_keys.append(key)
+                    else:
+                        pending.append(key)
+            missing = set(pending)
+            cached_mask = [key not in missing for key in unique]
         else:
             # Without the memo there is nothing to key by — ship the
             # genotypes through as-is (the compute paths normalise them).
@@ -437,10 +444,12 @@ class EvaluationEngine:
             self._memo.update(zip(pending, computed))
             for key, design in zip(pending, computed):
                 self._shared_store(key, design)
+            new_keys = shared_keys + pending
+            self._remember_designs(new_keys, [self._memo[key] for key in new_keys])
             results = [self._memo[key] for key in keys]
         else:
             results = computed
-        self.stats.wall_time_s += time.perf_counter() - started
+        stats.wall_time_s += time.perf_counter() - started
         return results
 
     def evaluate_many_columnar(
@@ -462,14 +471,14 @@ class EvaluationEngine:
         computes per-design results and flattens them into columns (those
         designs are memoised, so their later materialisation is free).
 
-        Genotype-cache hits are served from a *column-row memo* (raw rows,
-        not designs) — cached rows re-enter pruning as columns without an
-        object round-trip, and are counted in
-        ``EngineStats.rows_skipped_cached`` exactly like the cached-row mask
-        of the object path.  Rows only ever memoised as designs (e.g. by
-        :meth:`evaluate`) are flattened from the stored design.  Columnar
-        results are not published to the cross-problem shared cache (only
-        materialised designs are).
+        Genotype-cache hits are served from the engine's row store
+        (:class:`~repro.engine.memo.ColumnMemo` — raw rows, not designs),
+        looked up for the whole batch at once by genotype rank: cached rows
+        re-enter pruning as columns without an object round-trip, and are
+        counted in ``EngineStats.rows_skipped_cached`` exactly like the
+        cached-row mask of the object path.  Columnar results are not
+        published to the cross-problem shared cache (only materialised
+        designs are).
 
         ``prune_to_front=True`` is a *hint* for chunked sweeps: when the
         batch runs on a worker-pruning backend (``backend="sharded"`` with a
@@ -496,57 +505,78 @@ class EvaluationEngine:
         stats.batches += 1
         stats.genotype_requests += len(genotypes)
 
-        positions: dict[tuple[int, ...], int] | None = None
-        cached_rows: dict[int, _ColumnRow] = {}
+        # One bounds-checked index matrix for the whole batch, in request
+        # order; the compute paths receive their miss rows as a slice of it.
+        matrix = problem.space.index_matrix(genotypes)
+        if matrix is genotypes:
+            matrix = matrix.copy()  # results never alias the caller's array
+        unique_matrix = matrix
+        inverse: np.ndarray | None = None
+        hit_rows = np.empty(0, dtype=np.int64)
+        hit_columns: tuple[np.ndarray, ...] | None = None
+        design_rows: dict[int, _ColumnRow] = {}
+        shared_rows: list[int] = []
         if self.genotype_cache_enabled:
-            keys = [tuple(int(gene) for gene in genotype) for genotype in genotypes]
-            positions = {}
-            unique: list[tuple[int, ...]] = []
-            pending: list[tuple[int, ...]] = []
-            pending_rows: list[int] = []
-            for key in keys:
-                if key in positions:
-                    stats.genotype_cache_hits += 1
-                    continue
-                row_index = len(unique)
-                positions[key] = row_index
-                unique.append(key)
-                row = self._column_memo_hit(key)
-                if row is not None:
-                    stats.genotype_cache_hits += 1
-                    cached_rows[row_index] = row
-                    continue
-                design = self._memo.get(key)
-                if design is not None:
-                    stats.genotype_cache_hits += 1
-                    cached_rows[row_index] = _design_row(design)
-                    continue
-                design = self._shared_lookup(key)
-                if design is not None:
-                    stats.shared_cache_hits += 1
-                    self._memo[key] = design
-                    cached_rows[row_index] = _design_row(design)
-                    continue
-                pending.append(key)
-                pending_rows.append(row_index)
+            store = self._row_store()
+            keys = store.keys(matrix)
+            distinct, first, inverse = np.unique(
+                keys, return_index=True, return_inverse=True
+            )
+            if len(distinct) == len(keys):
+                inverse = None
+            else:
+                # Distinct genotypes in first-occurrence order, plus each
+                # request row's position among them.
+                order = np.argsort(first, kind="stable")
+                keys = distinct[order]
+                unique_matrix = matrix[first[order]]
+                position = np.empty(len(order), dtype=np.int64)
+                position[order] = np.arange(len(order))
+                inverse = position[inverse.reshape(-1)]
+                stats.genotype_cache_hits += len(matrix) - len(keys)
+            slots = store.find(keys)
+            hit = slots >= 0
+            hit_rows = np.flatnonzero(hit)
+            if len(hit_rows):
+                hit_columns = self._store_hits(slots[hit_rows])
+                stats.genotype_cache_hits += len(hit_rows)
+            pending_rows = np.flatnonzero(~hit)
+            if len(pending_rows) and (
+                self._memo_outgrows_rows() or self._shared_active()
+            ):
+                # Row-store misses may still be memoised as designs (rows
+                # evicted by the LRU bound) or known to the shared cache.
+                still_pending = []
+                for row_index, key in zip(
+                    pending_rows.tolist(),
+                    map(tuple, unique_matrix[pending_rows].tolist()),
+                ):
+                    design = self._memo.get(key)
+                    if design is not None:
+                        stats.genotype_cache_hits += 1
+                        design_rows[row_index] = _design_row(design)
+                        continue
+                    design = self._shared_lookup(key)
+                    if design is not None:
+                        stats.shared_cache_hits += 1
+                        self._memo[key] = design
+                        design_rows[row_index] = _design_row(design)
+                        shared_rows.append(row_index)
+                        continue
+                    still_pending.append(row_index)
+                pending_rows = np.asarray(still_pending, dtype=np.int64)
         else:
             # Without the memo there is nothing to key by: every row is
-            # computed as-is, duplicates included (mirrors ``evaluate_many``
-            # — and skips the per-row key normalisation entirely).
-            keys = list(genotypes)
-            unique = keys
-            pending = keys
-            pending_rows = list(range(len(keys)))
+            # computed as-is, duplicates included (mirrors ``evaluate_many``).
+            keys = None
+            pending_rows = np.arange(len(matrix))
 
-        # One bounds-checked index matrix for the whole batch; the compute
-        # paths receive their (pre-validated) miss rows as a slice of it.
-        matrix = problem.space.index_matrix(unique)
-        if not pending:
-            pending_matrix = matrix[:0]
-        elif len(pending) == len(unique):
-            pending_matrix = matrix
+        n_pending = len(pending_rows)
+        n_cached = len(hit_rows) + len(design_rows)
+        if n_pending == len(unique_matrix):
+            pending_matrix = unique_matrix
         else:
-            pending_matrix = matrix[np.asarray(pending_rows, dtype=np.int64)]
+            pending_matrix = unique_matrix[pending_rows]
         prune_capable = (
             prune_to_front
             and self.vectorized_enabled
@@ -559,13 +589,13 @@ class EvaluationEngine:
         # (unpruned) columns and must be assembled under the full-batch
         # contract even though the caller asked for pruning.
         pruned_result = False
-        if prune_capable and pending:
+        if prune_capable and n_pending:
             # Worker-side pruning: shards ship back only their local
             # per-feasibility-class fronts, so the parent never touches a
             # dominated row.  Counter bookkeeping mirrors _compute_columns's
             # sharded branch (prune_capable implies that dispatch).
-            if cached_rows:
-                stats.rows_skipped_cached += len(cached_rows)
+            if n_cached:
+                stats.rows_skipped_cached += n_cached
             try:
                 columns, kept_pending, rows_pruned = (
                     self.backend.evaluate_front_columns_sharded(
@@ -577,85 +607,81 @@ class EvaluationEngine:
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns = self._degraded_columns(pending, pending_matrix, exc)
-                stats.model_evaluations += len(pending)
+                columns = self._degraded_columns(pending_matrix, exc)
+                stats.model_evaluations += n_pending
             else:
                 pruned_result = True
-                stats.model_evaluations += len(pending)
-                stats.vectorized_designs += len(pending)
-                stats.sharded_designs += len(pending)
+                stats.model_evaluations += n_pending
+                stats.vectorized_designs += n_pending
+                stats.sharded_designs += n_pending
                 stats.rows_pruned_in_workers += int(rows_pruned)
             finally:
                 self._drain_backend_faults()
         else:
-            columns = self._compute_columns(
-                pending, pending_matrix, n_cached=len(cached_rows)
-            )
-        if self.genotype_cache_enabled and pending:
-            # In pruned mode only surviving rows came back — only they can
-            # be memoised (dominated rows are recomputed if ever re-asked,
-            # a pure performance trade the caches are allowed to make).
-            if kept_pending is None:
-                computed_keys = pending
-            else:
-                computed_keys = [pending[int(row)] for row in kept_pending]
-            for key, row_objectives, row_feasible, row_violations in zip(
-                computed_keys,
-                columns.objectives.tolist(),
-                columns.feasible.tolist(),
-                columns.violation_counts.tolist(),
-            ):
-                self._column_memo_put(
-                    key,
-                    (
-                        tuple(row_objectives),
-                        bool(row_feasible),
-                        int(row_violations),
-                    ),
-                )
+            columns = self._compute_columns(pending_matrix, n_cached=n_cached)
 
-        if pending:
+        computed_rows = pending_rows
+        if kept_pending is not None:
+            computed_rows = pending_rows[kept_pending]
+        if keys is not None and (len(computed_rows) or shared_rows):
+            # In pruned mode only surviving rows came back — only they can
+            # be stored (dominated rows are recomputed if ever re-asked, a
+            # pure performance trade the caches are allowed to make).
+            parts = [columns] if len(computed_rows) else []
+            if shared_rows:
+                parts.insert(0, _row_columns([design_rows[r] for r in shared_rows]))
+            stored_rows = np.concatenate(
+                [np.asarray(shared_rows, dtype=np.int64), computed_rows]
+            )
+            self._remember(keys[stored_rows], _stack_columns(parts))
+
+        if n_pending:
             n_objectives = columns.objectives.shape[1]
-        elif cached_rows:
-            n_objectives = len(next(iter(cached_rows.values()))[0])
+        elif hit_columns is not None:
+            n_objectives = hit_columns[0].shape[1]
+        elif design_rows:
+            n_objectives = len(next(iter(design_rows.values()))[0])
         else:
             n_objectives = int(getattr(problem, "n_objectives", 0))
-        count = len(unique)
+        count = len(unique_matrix)
         objectives = np.empty((count, n_objectives))
         feasible = np.empty(count, dtype=bool)
         violations = np.empty(count, dtype=np.int64)
+        if hit_columns is not None:
+            objectives[hit_rows], feasible[hit_rows], violations[hit_rows] = (
+                hit_columns
+            )
         for row_index, (row_objectives, row_feasible, row_violations) in (
-            cached_rows.items()
+            design_rows.items()
         ):
             objectives[row_index] = row_objectives
             feasible[row_index] = row_feasible
             violations[row_index] = row_violations
-        rows = np.asarray(pending_rows, dtype=np.int64)
-        if pending:
-            if kept_pending is not None:
-                rows = rows[kept_pending]
-            objectives[rows] = columns.objectives
-            feasible[rows] = columns.feasible
-            violations[rows] = columns.violation_counts
+        if n_pending:
+            objectives[computed_rows] = columns.objectives
+            feasible[computed_rows] = columns.feasible
+            violations[computed_rows] = columns.violation_counts
         if pruned_result:
             # Pruned result: only the candidate rows — cached rows (passed
             # through unpruned) plus the shard fronts — in distinct-genotype
             # first-occurrence order; the duplicate expansion below never
             # applies (duplicates collapse by contract).
-            cached_positions = np.fromiter(
-                cached_rows.keys(), dtype=np.int64, count=len(cached_rows)
-            )
             selected = np.sort(
-                np.concatenate([cached_positions, rows if pending else rows[:0]])
+                np.concatenate(
+                    [
+                        hit_rows,
+                        np.fromiter(design_rows, dtype=np.int64),
+                        computed_rows,
+                    ]
+                )
             )
-            matrix = matrix[selected]
+            matrix = unique_matrix[selected]
             objectives = objectives[selected]
             feasible = feasible[selected]
             violations = violations[selected]
-        elif positions is not None and count != len(keys):
-            # Expand the distinct rows back to the (duplicated) request order.
-            inverse = np.asarray([positions[key] for key in keys], dtype=np.int64)
-            matrix = matrix[inverse]
+        elif inverse is not None:
+            # Expand the distinct rows back to the (duplicated) request
+            # order; ``matrix`` already holds the request-order genotypes.
             objectives = objectives[inverse]
             feasible = feasible[inverse]
             violations = violations[inverse]
@@ -699,17 +725,15 @@ class EvaluationEngine:
         missing = [index for index, design in enumerate(results) if design is None]
         if missing:
             rows = np.asarray(missing, dtype=np.int64)
+            columns = WbsnBatchColumns(
+                objectives=objectives[rows],
+                feasible=feasible[rows],
+                violation_counts=violation_counts[rows],
+            )
             if getattr(problem, "supports_vectorized", False) and hasattr(
                 problem, "materialise_designs"
             ):
-                built = problem.materialise_designs(
-                    matrix[rows],
-                    WbsnBatchColumns(
-                        objectives=objectives[rows],
-                        feasible=feasible[rows],
-                        violation_counts=violation_counts[rows],
-                    ),
-                )
+                built = problem.materialise_designs(matrix[rows], columns)
             else:
                 built = [problem.compute_design(keys[index]) for index in missing]
                 self.stats.model_evaluations += len(missing)
@@ -719,6 +743,16 @@ class EvaluationEngine:
                 if self.genotype_cache_enabled:
                     self._memo[keys[index]] = design
                 self._shared_store(keys[index], design)
+            if self.genotype_cache_enabled:
+                # Designs memoised here keep a row in the store too (rows
+                # restored from a checkpoint may not have one yet).
+                store = self._row_store()
+                row_keys, first = np.unique(
+                    store.keys(matrix[rows]), return_index=True
+                )
+                fresh = store.find(row_keys) < 0
+                if fresh.any():
+                    self._remember(row_keys[fresh], columns.take(first[fresh]))
         return results
 
     def close(self) -> None:
@@ -752,9 +786,9 @@ class EvaluationEngine:
     def clear_caches(self) -> None:
         """Drop the genotype memos (the node cache lives with the problem)."""
         self._memo.clear()
-        self._column_memo.clear()
-        self._disk_keys.clear()
+        self._rows = None
         self._segments_loaded.clear()
+        self._disk_origin.clear()
 
     def cached_row_flags(self, genotypes: Sequence[Sequence[int]]) -> list[bool]:
         """Which rows of a batch the engine's local memos would serve.
@@ -768,13 +802,13 @@ class EvaluationEngine:
         evaluations (an LRU bound may evict between the check and the
         dispatch — costing a recompute, never correctness).
         """
-        if not self.genotype_cache_enabled:
+        if not self.genotype_cache_enabled or not len(genotypes):
             return [False] * len(genotypes)
-        flags = []
-        for genotype in genotypes:
-            key = tuple(int(gene) for gene in genotype)
-            flags.append(key in self._memo or key in self._column_memo)
-        return flags
+        flags = self._find(genotypes) >= 0
+        if self._memo_outgrows_rows():
+            for index in np.flatnonzero(~flags).tolist():
+                flags[index] = tuple(genotypes[index]) in self._memo
+        return flags.tolist()
 
     @contextlib.contextmanager
     def deadline_scope(self, seconds: float | None) -> Any:
@@ -813,16 +847,18 @@ class EvaluationEngine:
         return tuple(sorted(self._segments_loaded))
 
     def load_persistent_cache(self, cache_dir: str | Path | None = None) -> int:
-        """Bulk-memoise the bound problem's segment from the persistent tier.
+        """Adopt the bound problem's segment from the persistent tier.
 
         Loads the segment keyed by the problem's evaluation fingerprint
         from ``cache_dir`` (default: the engine's configured ``cache_dir``)
-        and inserts its rows into the column-row memo, projected onto the
-        problem's objective components — the cached-row mask protocol then
-        serves them to every evaluation path, so a fully covered sweep
-        re-runs without a single model evaluation.  Rows already memoised
-        locally are left untouched (fresher or identical).  Returns the
-        number of rows loaded, also counted in
+        into the row store, projected onto the problem's objective
+        components: the segment's genotypes are ranked in one vectorised
+        call, and into an empty store its memory-mapped columns are adopted
+        as the sorted base without a copy.  The cached-row mask protocol
+        then serves the rows to every evaluation path, so a fully covered
+        sweep re-runs without a single model evaluation.  Rows already
+        memoised locally are left untouched (fresher or identical).
+        Returns the number of rows loaded, also counted in
         ``EngineStats.rows_loaded_from_disk``.
 
         A missing segment is a silent cold start; an unusable one (corrupt,
@@ -843,6 +879,10 @@ class EvaluationEngine:
         if path in self._segments_loaded:
             return 0
         self._segments_loaded.add(path)
+        try:
+            origin = _file_identity(path)
+        except OSError:
+            origin = None  # missing: the loader below starts cold silently
         segment = load_segment_if_valid(path, fingerprint=self._fingerprint)
         if segment is None:
             return 0
@@ -856,34 +896,47 @@ class EvaluationEngine:
                 stacklevel=2,
             )
             return 0
-        loaded = 0
-        for genotype, row_objectives, row_feasible, row_violations in zip(
-            segment.genotypes.tolist(),
-            objectives.tolist(),
-            segment.feasible.tolist(),
-            segment.violation_counts.tolist(),
-        ):
-            key = tuple(genotype)
-            if key in self._column_memo or key in self._memo:
-                continue
-            self._column_memo_put(
-                key,
-                (tuple(row_objectives), bool(row_feasible), int(row_violations)),
+        space = self._problem.space
+        try:
+            matrix = space.index_matrix(segment.genotypes)
+        except ValueError as exc:
+            warnings.warn(
+                f"ignoring cache segment '{path}': its genotypes do not fit "
+                f"the problem's design space ({exc}); starting cold",
+                CacheTierWarning,
+                stacklevel=2,
             )
-            self._disk_keys.add(key)
-            loaded += 1
+            return 0
+        store = self._row_store()
+        keys = store.keys(matrix)
+        feasible = segment.feasible
+        violations = segment.violation_counts
+        if self._memo_outgrows_rows():
+            local = np.isin(keys, store.keys(space.index_matrix(list(self._memo))))
+            keys, objectives, feasible, violations = (
+                keys[~local], objectives[~local], feasible[~local], violations[~local]
+            )
+        loaded = store.adopt(keys, objectives, feasible, violations)
+        self.stats.column_memo_evictions += store.evict()
+        if origin is not None:
+            self._disk_origin[path] = origin
         self.stats.rows_loaded_from_disk += loaded
         return loaded
 
     def spill_persistent_cache(
         self, cache_dir: str | Path | None = None
     ) -> Path | None:
-        """Spill the engine's memos to the persistent tier's segment.
+        """Spill the engine's row store to the persistent tier's segment.
 
-        Flattens the design memo into column rows, overlays the column-row
-        memo, and merges the union into the fingerprint's segment under
+        Merges the store's sorted columns (plus any design memoised beyond
+        an LRU-bounded store) into the fingerprint's segment under
         ``cache_dir`` (default: the engine's configured ``cache_dir``) —
-        see :func:`repro.engine.persist.spill_rows` for the merge rules.
+        see :func:`repro.engine.persist.spill_columns` for the merge rules.
+        When every stored row came off that very segment file and the file
+        is unchanged since (same inode, size and ``mtime_ns``), the merge
+        would rewrite identical bytes: the spill only refreshes the file's
+        mtime instead, so age-based garbage collection
+        (:func:`~repro.engine.persist.prune_cache_dir`) sees it as used.
         Returns the segment path, or ``None`` when the tier is inactive or
         there is nothing to write.
         """
@@ -896,18 +949,48 @@ class EvaluationEngine:
             return None
         assert self._fingerprint is not None
         assert self._objective_components is not None
-        rows: dict[tuple[int, ...], _ColumnRow] = {
-            key: _design_row(design) for key, design in self._memo.items()
-        }
-        rows.update(self._column_memo)
-        if not rows:
+        store = self._rows
+        extra: list[tuple[int, ...]] = []
+        if self._memo_outgrows_rows():
+            # Designs whose rows the LRU bound evicted still spill.
+            slots = self._find(list(self._memo))
+            extra = [key for key, slot in zip(self._memo, slots.tolist()) if slot < 0]
+        if (store is None or not len(store)) and not extra:
             return None
-        return spill_rows(
+        path = segment_path(directory, self._fingerprint)
+        if not extra and not store.computed_rows() and self._origin_unchanged(path):
+            os.utime(path)
+            self._disk_origin[path] = _file_identity(path)
+            return path
+        # Every memoised design was stored when it was memoised, so a
+        # non-empty ``extra`` implies a non-empty store.
+        keys, objectives, feasible, violations = store.columns()
+        genotypes = store.genotypes(keys)
+        columns = WbsnBatchColumns(objectives, feasible, violations)
+        if extra:
+            genotypes = np.concatenate([genotypes, np.asarray(extra, dtype=np.int64)])
+            columns = _stack_columns(
+                [columns, _row_columns([_design_row(self._memo[key]) for key in extra])]
+            )
+        return spill_columns(
             directory,
             fingerprint=self._fingerprint,
             components=self._objective_components,
-            rows=rows,
+            genotypes=genotypes,
+            objectives=columns.objectives,
+            feasible=columns.feasible,
+            violation_counts=columns.violation_counts,
         )
+
+    def _origin_unchanged(self, path: Path) -> bool:
+        """Whether ``path`` is the one segment file the store's disk rows
+        came from, untouched since it was loaded."""
+        if set(self._disk_origin) != {path}:
+            return False
+        try:
+            return _file_identity(path) == self._disk_origin[path]
+        except OSError:
+            return False
 
     def _persistence_active(self) -> bool:
         """Whether the persistent tier can serve/spill this engine (warns why
@@ -941,32 +1024,93 @@ class EvaluationEngine:
 
     # ------------------------------------------------------------ internals
 
-    def _column_memo_hit(self, key: tuple[int, ...]) -> _ColumnRow | None:
-        """Column-memo lookup with LRU touch and persistent-hit accounting."""
-        row = self._column_memo.get(key)
-        if row is None:
-            return None
-        if self.column_memo_max_entries is not None:
-            self._column_memo.move_to_end(key)
-        if key in self._disk_keys:
-            self.stats.persistent_cache_hits += 1
-        return row
+    def _row_store(self) -> ColumnMemo:
+        """The row store, created on first use after :meth:`bind`."""
+        if self._rows is None:
+            self._rows = ColumnMemo(
+                self._problem.space.cardinalities,
+                max_entries=self.column_memo_max_entries,
+            )
+        return self._rows
 
-    def _column_memo_put(self, key: tuple[int, ...], row: _ColumnRow) -> None:
-        """Column-memo insert, evicting the LRU row past the optional bound."""
-        memo = self._column_memo
-        memo[key] = row
-        bound = self.column_memo_max_entries
-        if bound is not None:
-            memo.move_to_end(key)
-            if len(memo) > bound:
-                evicted, _ = memo.popitem(last=False)
-                self._disk_keys.discard(evicted)
-                self.stats.column_memo_evictions += 1
+    def _find(self, genotypes: Sequence[Sequence[int]]) -> np.ndarray:
+        """Row-store slot of each genotype, ``-1`` where none is stored.
+
+        A pure read.  Rows that are no genotype of the space (wrong length,
+        gene out of range) are never stored, so they report ``-1`` instead
+        of raising — the compute path raises its own validation error.
+        """
+        slots = np.full(len(genotypes), -1, dtype=np.int64)
+        if self._rows is None or not len(self._rows) or not len(genotypes):
+            return slots
+        space = self._problem.space
+        try:
+            slots[:] = self._rows.find(self._rows.keys(space.index_matrix(genotypes)))
+        except ValueError:
+            valid = []
+            for index, genotype in enumerate(genotypes):
+                try:
+                    space.validate_genotype(genotype)
+                except (TypeError, ValueError):
+                    continue
+                valid.append(index)
+            if valid:
+                matrix = space.index_matrix([genotypes[index] for index in valid])
+                slots[valid] = self._rows.find(self._rows.keys(matrix))
+        return slots
+
+    def _store_hits(
+        self, slots: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Serve stored rows: touch them (LRU) and count every hit on a
+        loaded row in ``persistent_cache_hits``."""
+        store = self._rows
+        store.touch(slots)
+        objectives, feasible, violations, loaded = store.rows(slots)
+        self.stats.persistent_cache_hits += int(loaded.sum())
+        return objectives, feasible, violations
+
+    def _remember(self, keys: np.ndarray, columns: WbsnBatchColumns) -> None:
+        """Store rows for distinct, not yet stored keys; end-of-batch LRU
+        eviction."""
+        store = self._row_store()
+        store.insert(
+            keys, columns.objectives, columns.feasible, columns.violation_counts
+        )
+        self.stats.column_memo_evictions += store.evict()
+
+    def _remember_designs(
+        self, keys: Sequence[tuple[int, ...]], designs: Sequence["EvaluatedDesign"]
+    ) -> None:
+        """Store the rows of designs just memoised for row-store misses."""
+        if not keys:
+            return
+        store = self._row_store()
+        matrix = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
+        self._remember(
+            store.keys(matrix), _row_columns([_design_row(d) for d in designs])
+        )
+
+    def _materialise_stored(
+        self, keys: Sequence[tuple[int, ...]], slots: np.ndarray
+    ) -> list["EvaluatedDesign"]:
+        """Materialise designs for genotypes served by the row store."""
+        objectives, feasible, violations = self._store_hits(slots)
+        return self.materialise_rows(
+            self._problem.space.index_matrix(keys), objectives, feasible, violations
+        )
+
+    def _memo_outgrows_rows(self) -> bool:
+        """Whether the design memo may hold genotypes the row store lacks —
+        only after an LRU-bounded store evicted rows of memoised designs."""
+        return self.column_memo_max_entries is not None and bool(self._memo)
+
+    def _shared_active(self) -> bool:
+        return self.shared_cache is not None and self._fingerprint is not None
 
     def _shared_lookup(self, key: tuple[int, ...]) -> "EvaluatedDesign | None":
         """Consult the cross-problem shared cache, when active."""
-        if self.shared_cache is None or self._fingerprint is None:
+        if not self._shared_active():
             return None
         assert self._objective_components is not None
         return self.shared_cache.lookup(
@@ -975,7 +1119,7 @@ class EvaluationEngine:
 
     def _shared_store(self, key: tuple[int, ...], design: "EvaluatedDesign") -> None:
         """Publish a computed design to the cross-problem shared cache."""
-        if self.shared_cache is None or self._fingerprint is None:
+        if not self._shared_active():
             return
         assert self._objective_components is not None
         self.shared_cache.store(
@@ -1141,10 +1285,7 @@ class EvaluationEngine:
         return [problem.compute_design(key) for key in pending]
 
     def _degraded_columns(
-        self,
-        pending: Sequence[tuple[int, ...]],
-        pending_matrix: np.ndarray,
-        cause: BaseException,
+        self, pending_matrix: np.ndarray, cause: BaseException
     ) -> WbsnBatchColumns:
         """Columnar sibling of :meth:`_degraded_designs` (same ladder).
 
@@ -1171,51 +1312,43 @@ class EvaluationEngine:
                 pass
             else:
                 self._warn_degraded("in-process serial kernel", cause)
-                self.stats.vectorized_designs += len(pending)
+                self.stats.vectorized_designs += len(pending_matrix)
                 return columns
         self._warn_degraded("in-process scalar path", cause)
-        designs = [problem.compute_design(key) for key in pending]
+        pending = _matrix_keys(pending_matrix)
+        return self._memoised_columns(
+            pending, [problem.compute_design(key) for key in pending]
+        )
+
+    def _memoised_columns(
+        self,
+        pending: Sequence[tuple[int, ...]],
+        designs: Sequence["EvaluatedDesign"],
+    ) -> WbsnBatchColumns:
+        """Memoise scalar-path designs and flatten them into columns (the
+        caller stores the rows)."""
         if self.genotype_cache_enabled:
             self._memo.update(zip(pending, designs))
         for key, design in zip(pending, designs):
             self._shared_store(key, design)
-        rows = [_design_row(design) for design in designs]
-        return WbsnBatchColumns(
-            objectives=np.asarray([row[0] for row in rows], dtype=float),
-            feasible=np.asarray([row[1] for row in rows], dtype=bool),
-            violation_counts=np.asarray([row[2] for row in rows], dtype=np.int64),
-        )
-
-    def _materialise_column_keys(
-        self, keys: Sequence[tuple[int, ...]]
-    ) -> list["EvaluatedDesign"]:
-        """Materialise designs for keys memoised as raw column rows."""
-        rows = [self._column_memo[key] for key in keys]
-        return self.materialise_rows(
-            self._problem.space.index_matrix(keys),
-            np.asarray([row[0] for row in rows], dtype=float),
-            np.asarray([row[1] for row in rows], dtype=bool),
-            np.asarray([row[2] for row in rows], dtype=np.int64),
-        )
+        return _row_columns([_design_row(design) for design in designs])
 
     def _compute_columns(
-        self,
-        pending: Sequence[tuple[int, ...]],
-        pending_matrix: np.ndarray,
-        n_cached: int,
+        self, pending_matrix: np.ndarray, n_cached: int
     ) -> WbsnBatchColumns:
-        """Compute raw column rows for a batch's miss keys (any path).
+        """Compute raw column rows for a batch's miss rows (any path).
 
         The columnar sibling of :meth:`_compute`: the in-process kernel and
         the sharded backend return their columns untouched, and the scalar
         fallback flattens per-design results into columns (memoising the
         computed designs so their materialisation later is free).
-        ``pending_matrix`` holds the miss keys as already-validated index
+        ``pending_matrix`` holds the miss rows as already-validated index
         rows — the kernel paths consume it directly, so the batch matrix is
         bounds-checked once, not per path.
         """
         stats = self.stats
         problem = self._problem
+        n_pending = len(pending_matrix)
         vectorizable = self.vectorized_enabled and getattr(
             problem, "supports_vectorized", False
         )
@@ -1225,12 +1358,12 @@ class EvaluationEngine:
             # Cached rows never reach a column gather, exactly like the
             # cached-row mask of the object path.
             stats.rows_skipped_cached += n_cached
-        if not pending:
+        if not n_pending:
             return WbsnBatchColumns.empty(0)
         if vectorizable and in_process and hasattr(problem, "compute_columns_batch"):
             faults.maybe_fire("kernel")
             columns = problem.compute_columns_batch(pending_matrix)
-            stats.vectorized_designs += len(pending)
+            stats.vectorized_designs += n_pending
         elif vectorizable and sharded:
             try:
                 columns = self.backend.evaluate_columns_sharded(
@@ -1239,27 +1372,18 @@ class EvaluationEngine:
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns = self._degraded_columns(pending, pending_matrix, exc)
+                columns = self._degraded_columns(pending_matrix, exc)
             else:
-                stats.vectorized_designs += len(pending)
-                stats.sharded_designs += len(pending)
+                stats.vectorized_designs += n_pending
+                stats.sharded_designs += n_pending
             finally:
                 self._drain_backend_faults()
         else:
-            designs = self._compute_scalar_chunks(pending)
-            if self.genotype_cache_enabled:
-                self._memo.update(zip(pending, designs))
-            for key, design in zip(pending, designs):
-                self._shared_store(key, design)
-            rows = [_design_row(design) for design in designs]
-            columns = WbsnBatchColumns(
-                objectives=np.asarray([row[0] for row in rows], dtype=float),
-                feasible=np.asarray([row[1] for row in rows], dtype=bool),
-                violation_counts=np.asarray(
-                    [row[2] for row in rows], dtype=np.int64
-                ),
+            pending = _matrix_keys(pending_matrix)
+            columns = self._memoised_columns(
+                pending, self._compute_scalar_chunks(pending)
             )
-        stats.model_evaluations += len(pending)
+        stats.model_evaluations += n_pending
         return columns
 
     def __getstate__(self) -> dict[str, Any]:
@@ -1268,9 +1392,9 @@ class EvaluationEngine:
         # stay home.
         state = self.__dict__.copy()
         state["_memo"] = {}
-        state["_column_memo"] = OrderedDict()
-        state["_disk_keys"] = set()
+        state["_rows"] = None
         state["_segments_loaded"] = set()
+        state["_disk_origin"] = {}
         state["shared_cache"] = None
         # Workers must never write segments of their own (the parent owns
         # the persistent tier, exactly like the in-memory caches).
@@ -1290,3 +1414,35 @@ def _design_row(design: "EvaluatedDesign") -> _ColumnRow:
     if violations is None:
         violations = 0 if design.feasible else 1
     return (tuple(design.objectives), bool(design.feasible), int(violations))
+
+
+def _row_columns(rows: Sequence[_ColumnRow]) -> WbsnBatchColumns:
+    """Stack flattened design rows into columns (at least one row)."""
+    return WbsnBatchColumns(
+        objectives=np.asarray([row[0] for row in rows], dtype=float),
+        feasible=np.asarray([row[1] for row in rows], dtype=bool),
+        violation_counts=np.asarray([row[2] for row in rows], dtype=np.int64),
+    )
+
+
+def _stack_columns(parts: Sequence[WbsnBatchColumns]) -> WbsnBatchColumns:
+    """Concatenate column batches row-wise."""
+    if len(parts) == 1:
+        return parts[0]
+    return WbsnBatchColumns(
+        objectives=np.concatenate([part.objectives for part in parts]),
+        feasible=np.concatenate([part.feasible for part in parts]),
+        violation_counts=np.concatenate([part.violation_counts for part in parts]),
+    )
+
+
+def _matrix_keys(matrix: np.ndarray) -> list[tuple[int, ...]]:
+    """Genotype tuples of index rows (for the per-design compute paths)."""
+    return [tuple(row) for row in matrix.tolist()]
+
+
+def _file_identity(path: Path) -> tuple[int, int, int]:
+    """``(inode, size, mtime_ns)`` of a file — changes whenever it is
+    rewritten (atomic renames swap inodes) or touched."""
+    stat = os.stat(path)
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns

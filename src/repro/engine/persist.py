@@ -2,18 +2,20 @@
 
 The engine's caches make repeated campaigns cheap *within* a process; this
 module makes them cheap *across* processes.  Everything the engine knows
-about a problem's evaluations — the column-row memo of the columnar sweeps,
-the design memo, the cross-problem :class:`~repro.engine.cache.SharedGenotypeCache`
-records — can be spilled to disk as one **segment per evaluation
-fingerprint** and bulk-memoised back into a fresh engine, so a re-run of a
-sweep prunes cached columns without a single model evaluation.
+about a problem's evaluations — its row store
+(:class:`~repro.engine.memo.ColumnMemo`), the cross-problem
+:class:`~repro.engine.cache.SharedGenotypeCache` records — can be spilled
+to disk as one **segment per evaluation fingerprint** and loaded back into
+a fresh engine, so a re-run of a sweep prunes cached columns without a
+single model evaluation.
 
 Segment contents are the raw column arrays the engine already speaks —
 a genotype-index matrix, the penalised objective matrix, the feasibility and
-violation-count columns — never pickled ``EvaluatedDesign`` objects: loading
-is array deserialization plus dictionary inserts, and materialisation (when
-a caller wants objects at all) runs through the usual phenotype lookup
-tables.
+violation-count columns — never pickled ``EvaluatedDesign`` objects: rows
+are sorted by genotype, so loading is a memory map the engine adopts as the
+sorted base of its row store, spilling is an array merge, and
+materialisation (when a caller wants objects at all) runs through the usual
+phenotype lookup tables.
 
 On-disk layout, sharing the checkpoint module's framing and durability
 discipline (:func:`~repro.engine.checkpoint.pack_blob` /
@@ -51,7 +53,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -73,7 +75,7 @@ __all__ = [
     "save_segment",
     "load_segment",
     "load_segment_if_valid",
-    "spill_rows",
+    "spill_columns",
     "spill_shared_cache",
 ]
 
@@ -95,9 +97,6 @@ _COLUMNS = (
     ("feasible", "|b1", 1),
     ("violation_counts", "<i8", 1),
 )
-
-#: The engine's column-row record: ``(objectives, feasible, violations)``.
-_Row = tuple[tuple[float, ...], bool, int]
 
 
 class CacheSegmentError(RuntimeError):
@@ -151,18 +150,6 @@ class CacheSegment:
             return None
         columns = [self.components.index(name) for name in components]
         return self.objectives[:, columns]
-
-    def rows(self) -> dict[tuple[int, ...], _Row]:
-        """The segment as a ``genotype key -> column row`` mapping."""
-        return {
-            tuple(genotype): (tuple(objectives), bool(feasible), int(violations))
-            for genotype, objectives, feasible, violations in zip(
-                self.genotypes.tolist(),
-                self.objectives.tolist(),
-                self.feasible.tolist(),
-                self.violation_counts.tolist(),
-            )
-        }
 
 
 def segment_path(cache_dir: str | Path, fingerprint: bytes) -> Path:
@@ -518,30 +505,41 @@ def load_segment_if_valid(
     return segment
 
 
-def spill_rows(
+def spill_columns(
     cache_dir: str | Path,
     *,
     fingerprint: bytes,
     components: tuple[str, ...],
-    rows: Mapping[tuple[int, ...], _Row],
+    genotypes: np.ndarray,
+    objectives: np.ndarray,
+    feasible: np.ndarray,
+    violation_counts: np.ndarray,
 ) -> Path | None:
     """Spill column rows into a fingerprint's segment, merging what's there.
 
     An existing valid segment with the same component set is unioned in
     (the new rows win on conflicts — both sides computed the same floats,
-    so the choice is cosmetic).  Component sets follow the shared cache's
-    richest-record rule: a spill *wider* than the stored segment replaces
-    it outright (narrow rows cannot be widened), a spill *narrower* than
-    (or incomparable with) the stored segment is a no-op — the richer
-    segment keeps serving both problems by projection.  An existing
-    invalid segment is warned about (:class:`CacheTierWarning`) and
-    overwritten.
+    so the choice is cosmetic; of rows repeated within the new ones the
+    first wins).  Component sets follow the shared cache's richest-record
+    rule: a spill *wider* than the stored segment replaces it outright
+    (narrow rows cannot be widened), a spill *narrower* than (or
+    incomparable with) the stored segment is a no-op — the richer segment
+    keeps serving both problems by projection.  An existing invalid segment
+    is warned about (:class:`CacheTierWarning`) and overwritten.  The merge
+    is an array merge; the written bytes are exactly what
+    :func:`save_segment` writes for the union.
 
     Returns the segment path, or ``None`` when there was nothing to write.
     """
-    if not rows:
+    if not len(genotypes):
         return None
     path = segment_path(cache_dir, fingerprint)
+    columns = [
+        np.asarray(genotypes, dtype=np.int64),
+        np.asarray(objectives, dtype=np.float64),
+        np.asarray(feasible, dtype=bool),
+        np.asarray(violation_counts, dtype=np.int64),
+    ]
     existing = None
     if path.exists():
         existing = load_segment_if_valid(path, fingerprint=fingerprint)
@@ -554,22 +552,25 @@ def spill_rows(
                 # Narrower or incomparable: the stored segment keeps serving
                 # both problems (by projection, or first writer wins).
                 return path
-    merged: dict[tuple[int, ...], _Row] = existing.rows() if existing else {}
-    merged.update(rows)
-    n_objectives = len(components)
-    keys = list(merged)
+    if existing is not None and existing.genotypes.shape[1:] == columns[0].shape[1:]:
+        stored = [
+            existing.genotypes,
+            existing.objectives,
+            existing.feasible,
+            existing.violation_counts,
+        ]
+        columns = [np.concatenate(pair) for pair in zip(columns, stored)]
+    # One row per genotype: its first occurrence, new rows ahead of stored.
+    _, first = np.unique(columns[0], axis=0, return_index=True)
+    columns = [column[first] for column in columns]
     return save_segment(
         cache_dir,
         fingerprint=fingerprint,
         components=components,
-        genotypes=np.asarray(keys, dtype=np.int64).reshape(len(keys), -1),
-        objectives=np.asarray(
-            [merged[key][0] for key in keys], dtype=np.float64
-        ).reshape(len(keys), n_objectives),
-        feasible=np.asarray([merged[key][1] for key in keys], dtype=bool),
-        violation_counts=np.asarray(
-            [merged[key][2] for key in keys], dtype=np.int64
-        ),
+        genotypes=columns[0],
+        objectives=columns[1],
+        feasible=columns[2],
+        violation_counts=columns[3],
     )
 
 
@@ -594,19 +595,27 @@ def spill_shared_cache(
             {components for components, _ in records.values()},
             key=lambda components: (len(components), components),
         )
-        rows: dict[tuple[int, ...], _Row] = {}
+        genotypes, objectives, feasible, violations = [], [], [], []
         for genotype, (components, design) in records.items():
             if not set(chosen) <= set(components):
                 continue
-            objectives = tuple(
-                design.objectives[components.index(name)] for name in chosen
+            genotypes.append(genotype)
+            objectives.append(
+                [design.objectives[components.index(name)] for name in chosen]
             )
-            violations = getattr(design, "violation_count", None)
-            if violations is None:
-                violations = 0 if design.feasible else 1
-            rows[genotype] = (objectives, bool(design.feasible), int(violations))
-        path = spill_rows(
-            cache_dir, fingerprint=fingerprint, components=chosen, rows=rows
+            feasible.append(bool(design.feasible))
+            count = getattr(design, "violation_count", None)
+            violations.append(
+                (0 if design.feasible else 1) if count is None else int(count)
+            )
+        path = spill_columns(
+            cache_dir,
+            fingerprint=fingerprint,
+            components=chosen,
+            genotypes=np.asarray(genotypes, dtype=np.int64),
+            objectives=np.asarray(objectives, dtype=np.float64),
+            feasible=np.asarray(feasible, dtype=bool),
+            violation_counts=np.asarray(violations, dtype=np.int64),
         )
         if path is not None:
             paths.append(path)

@@ -90,13 +90,15 @@ class EngineStats:
         node_cache_evictions: per-node stage results evicted by the LRU
             bound of the node cache.
         column_memo_evictions: column rows evicted by the LRU bound of the
-            engine's column-row memo (``column_memo_max_entries``).
-        rows_loaded_from_disk: column rows bulk-memoised from a persistent
-            cache segment (:mod:`repro.engine.persist`) — warm-start
+            engine's row store (``column_memo_max_entries``).
+        rows_loaded_from_disk: column rows a persistent cache segment
+            (:mod:`repro.engine.persist`) added to the engine's row store
+            (rows the engine already held are not counted) — warm-start
             capacity loaded, whether or not a sweep ever requests it.
         persistent_cache_hits: genotype requests answered by a column row
-            that came off disk (a subset of ``genotype_cache_hits``; the
-            warm-start sweep's "no model was touched" evidence).
+            that came off disk, counted on every such hit, not only the
+            first (a subset of ``genotype_cache_hits``; the warm-start
+            sweep's "no model was touched" evidence).
         batches: number of ``evaluate_many`` invocations.
         wall_time_s: wall-clock time spent inside the engine.
     """

@@ -18,9 +18,9 @@ enforces the robustness contract the in-process stack cannot:
 * **graceful drain** — :meth:`DseService.stop` stops admitting, lets every
   admitted request complete, flushes connections, spills the persistent
   cache tier, and only then tears the engine lane down;
-* **warm start** — with a ``cache_dir`` the engine bulk-memoises the
-  problem's on-disk segment at boot, so the first client of a fingerprint
-  another process already swept is served from disk rows;
+* **warm start** — with a ``cache_dir`` the engine loads the problem's
+  on-disk segment into its row store at boot, so the first client of a
+  fingerprint another process already swept is served from disk rows;
 * **degradation surfacing** — responses computed while the engine degraded
   to its in-process ladder carry ``"degraded": true``, mirroring the
   in-process :class:`~repro.engine.EngineDegradationWarning`.

@@ -17,10 +17,12 @@ Problems are the small two-node/64-configuration spaces of the fault suite
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -51,7 +53,7 @@ from repro.engine.persist import (
     SEGMENT_VERSION,
     list_segments,
     remove_orphaned_tmp_siblings,
-    spill_rows,
+    spill_columns,
 )
 from repro.experiments.casestudy import build_case_study_evaluator
 
@@ -86,6 +88,29 @@ def column_arrays(rows, components=COMPONENTS):
         violation_counts=np.asarray(
             [rows[key][2] for key in keys], dtype=np.int64
         ),
+    )
+
+
+def segment_rows(segment):
+    """A loaded segment as a ``{genotype key: column row}`` mapping."""
+    return {
+        tuple(genotype): (tuple(objectives), bool(feasible), int(violations))
+        for genotype, objectives, feasible, violations in zip(
+            segment.genotypes.tolist(),
+            segment.objectives.tolist(),
+            segment.feasible.tolist(),
+            segment.violation_counts.tolist(),
+        )
+    }
+
+
+def spill_rows(cache_dir, rows, *, components=COMPONENTS, fingerprint=FP):
+    """Spill a row mapping through :func:`spill_columns`."""
+    return spill_columns(
+        cache_dir,
+        fingerprint=fingerprint,
+        components=components,
+        **column_arrays(rows, components),
     )
 
 
@@ -140,7 +165,7 @@ class TestSegmentFormat:
         assert loaded.fingerprint == FP
         assert loaded.components == COMPONENTS
         assert len(loaded) == len(ROWS)
-        assert loaded.rows() == ROWS
+        assert segment_rows(loaded) == ROWS
         # Rows are lexsorted by genotype regardless of insertion order.
         assert loaded.genotypes.tolist() == [[0, 0], [0, 1], [1, 0]]
         # The loaded arrays are read-only views into the file's memory map.
@@ -253,60 +278,71 @@ class TestSegmentFormat:
 class TestSpillMergeRules:
     def test_empty_rows_write_nothing(self, tmp_path):
         assert (
-            spill_rows(tmp_path, fingerprint=FP, components=COMPONENTS, rows={})
+            spill_columns(
+                tmp_path,
+                fingerprint=FP,
+                components=COMPONENTS,
+                genotypes=np.empty((0, 2), dtype=np.int64),
+                objectives=np.empty((0, 3)),
+                feasible=np.empty(0, dtype=bool),
+                violation_counts=np.empty(0, dtype=np.int64),
+            )
             is None
         )
         assert not list(tmp_path.iterdir())
 
     def test_same_components_union_new_rows_win(self, tmp_path):
-        spill_rows(tmp_path, fingerprint=FP, components=COMPONENTS, rows=ROWS)
+        spill_rows(tmp_path, ROWS)
         update = {
             (0, 1): ((9.0, 9.0, 9.0), True, 0),  # conflicting key
             (2, 2): ((0.5, 0.5, 0.5), True, 0),  # fresh key
         }
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=COMPONENTS, rows=update
-        )
-        merged = load_segment(path).rows()
+        path = spill_rows(tmp_path, update)
+        merged = segment_rows(load_segment(path))
         assert len(merged) == 4
         assert merged[(0, 1)] == update[(0, 1)]
         assert merged[(0, 0)] == ROWS[(0, 0)]
 
+    def test_merge_writes_the_bytes_of_the_union(self, tmp_path):
+        spill_rows(tmp_path / "merged", ROWS)
+        update = {
+            (0, 1): ((1.0, 2.0, 3.0), True, 0),  # same row as stored
+            (2, 2): ((0.5, 0.5, 0.5), True, 0),
+        }
+        merged = spill_rows(tmp_path / "merged", update)
+        union = save_segment(
+            tmp_path / "union",
+            fingerprint=FP,
+            components=COMPONENTS,
+            **column_arrays({**ROWS, **update}),
+        )
+        assert merged.read_bytes() == union.read_bytes()
+
     def test_richer_spill_replaces_a_narrow_segment(self, tmp_path):
         narrow = {(0, 0): ((1.0, 3.0), True, 0)}
-        spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "delay"), rows=narrow
-        )
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=COMPONENTS, rows=ROWS
-        )
+        spill_rows(tmp_path, narrow, components=("energy", "delay"))
+        path = spill_rows(tmp_path, ROWS)
         segment = load_segment(path)
         assert segment.components == COMPONENTS
         # Narrow rows cannot be widened: they are dropped with the segment.
-        assert segment.rows() == ROWS
+        assert segment_rows(segment) == ROWS
 
     def test_narrower_spill_is_a_noop(self, tmp_path):
-        spill_rows(tmp_path, fingerprint=FP, components=COMPONENTS, rows=ROWS)
+        spill_rows(tmp_path, ROWS)
         narrow = {(5, 5): ((1.0, 3.0), True, 0)}
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "delay"), rows=narrow
-        )
+        path = spill_rows(tmp_path, narrow, components=("energy", "delay"))
         segment = load_segment(path)
         assert segment.components == COMPONENTS
-        assert segment.rows() == ROWS
+        assert segment_rows(segment) == ROWS
 
     def test_incomparable_spill_is_a_noop(self, tmp_path):
         first = {(0, 0): ((1.0, 3.0), True, 0)}
-        spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "delay"), rows=first
-        )
+        spill_rows(tmp_path, first, components=("energy", "delay"))
         other = {(1, 1): ((2.0, 4.0), True, 0)}
-        path = spill_rows(
-            tmp_path, fingerprint=FP, components=("energy", "quality"), rows=other
-        )
+        path = spill_rows(tmp_path, other, components=("energy", "quality"))
         segment = load_segment(path)
         assert segment.components == ("energy", "delay")
-        assert segment.rows() == first
+        assert segment_rows(segment) == first
 
 
 # --------------------------------------------------------------------------
@@ -461,10 +497,7 @@ class TestSegmentFaultInjection:
         probe = beacon_problem(EvaluationEngine())
         fingerprint = probe.evaluation_fingerprint()
         rows = {(0,) * len(probe.space.domains): ((1.0, 2.0, 3.0), True, 0)}
-        foreign = spill_rows(
-            tmp_path / "other", fingerprint=OTHER_FP, components=COMPONENTS,
-            rows=rows,
-        )
+        foreign = spill_rows(tmp_path / "other", rows, fingerprint=OTHER_FP)
         os.replace(foreign, segment_path(tmp_path, fingerprint))
 
         engine = EvaluationEngine(cache_dir=tmp_path)
@@ -641,12 +674,14 @@ class TestColumnMemoBound:
 
     def test_eviction_is_least_recently_used(self):
         engine = EvaluationEngine(column_memo_max_entries=2)
-        row = ((1.0,), True, 0)
-        engine._column_memo_put((1,), row)
-        engine._column_memo_put((2,), row)
-        assert engine._column_memo_hit((1,)) is row  # touch (1,)
-        engine._column_memo_put((3,), row)  # evicts (2,), the LRU entry
-        assert set(engine._column_memo) == {(1,), (3,)}
+        beacon_problem(engine)
+        engine.clear_caches()  # drop the construction probe's row
+        a, b, c = (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)
+        engine.evaluate_many_columnar([a, b])
+        assert engine.cached_row_flags([a, b, c]) == [True, True, False]
+        engine.evaluate_many_columnar([a])  # touch a
+        engine.evaluate_many_columnar([c])  # evicts b, the LRU row
+        assert engine.cached_row_flags([a, b, c]) == [True, False, True]
         assert engine.stats.column_memo_evictions == 1
 
     def test_bounded_sweep_keeps_the_front(self):
@@ -655,7 +690,7 @@ class TestColumnMemoBound:
             ExhaustiveSearch(beacon_problem(engine), chunk_size=16)
         )
         assert front_signature(result.front) == reference_front("beacon")
-        assert len(engine._column_memo) <= 8
+        assert engine.column_memo_size <= 8
         assert engine.stats.column_memo_evictions > 0
 
     def test_bounded_warm_start_recomputes_evicted_rows(self, tmp_path):
@@ -729,6 +764,41 @@ class TestPruneCacheDir:
         )
         assert removed == [other]
         assert kept.exists()
+
+    def test_warm_run_adding_nothing_refreshes_mtime_not_bytes(self, tmp_path):
+        sweep(EvaluationEngine(cache_dir=tmp_path))
+        path = next(tmp_path.glob("*.wbsncache"))
+        before = path.read_bytes()
+        inode = path.stat().st_ino
+        day_ago = time.time() - 86_400
+        os.utime(path, (day_ago, day_ago))
+
+        warm_engine = EvaluationEngine(cache_dir=tmp_path)
+        sweep(warm_engine)  # closes, spilling a store that adds nothing
+        assert warm_engine.stats.model_evaluations == 0
+        assert hashlib.sha256(path.read_bytes()).digest() == (
+            hashlib.sha256(before).digest()
+        )
+        assert path.stat().st_ino == inode  # touched, never rewritten
+        assert path.stat().st_mtime > day_ago + 3600
+        # Age GC reads the mtime as the last use: the segment survives.
+        assert prune_cache_dir(tmp_path, max_age_s=3600) == []
+        assert path.exists()
+
+    def test_spill_with_new_rows_rewrites_the_union(self, tmp_path):
+        # A warm engine that computes rows beyond its segment writes the
+        # same bytes a cold sweep of the whole space writes.
+        sweep(EvaluationEngine(cache_dir=tmp_path / "full"))
+        full = next((tmp_path / "full").glob("*.wbsncache"))
+        partial_engine = EvaluationEngine(cache_dir=tmp_path / "grown")
+        problem = beacon_problem(partial_engine)
+        problem.evaluate_batch_columns(list(problem.space.enumerate_genotypes())[:20])
+        partial_engine.close()
+        grown_engine = EvaluationEngine(cache_dir=tmp_path / "grown")
+        sweep(grown_engine)
+        assert grown_engine.stats.rows_loaded_from_disk == 20
+        grown = next((tmp_path / "grown").glob("*.wbsncache"))
+        assert grown.read_bytes() == full.read_bytes()
 
     def test_live_engines_loaded_segment_is_protectable(self, tmp_path):
         sweep(EvaluationEngine(cache_dir=tmp_path))
