@@ -5,7 +5,8 @@ interleavings of its serving paths — ``evaluate``, ``evaluate_many`` and
 ``evaluate_many_columnar`` (with duplicates), the ``cached_row_flags``
 attribution read, spill to a cache directory and reload into a fresh
 engine — on engines with and without an LRU-bounded row store, on the
-vectorized and the scalar compute paths.  After every step three things
+vectorized and the scalar compute paths, alone or sharing a
+``SharedGenotypeCache`` with a peer engine of the same model.  After every step three things
 must hold:
 
 * every row the engine served equals the uncached scalar
@@ -14,8 +15,9 @@ must hold:
   ``genotype_requests == genotype_cache_hits + shared_cache_hits +
   model_evaluations``;
 * ``cached_row_flags`` agrees with the rows the engine actually holds: the
-  next batch computes exactly the distinct genotypes it flagged uncached
-  (and, unbounded, flags exactly the genotypes ever evaluated).
+  next batch computes (or takes from the shared cache) exactly the distinct
+  genotypes it flagged uncached (and, unbounded, flags exactly the
+  genotypes ever evaluated).
 
 The space is the 64-design two-node problem of the fault suite, small
 enough that random batches collide often.
@@ -41,7 +43,7 @@ from hypothesis.stateful import (
 
 import numpy as np
 
-from repro.engine import EvaluationEngine, load_segment
+from repro.engine import EvaluationEngine, SharedGenotypeCache, load_segment
 from repro.engine.memo import ColumnMemo
 
 from test_faults import beacon_problem
@@ -72,7 +74,11 @@ def _oracle() -> dict[tuple[int, ...], tuple]:
 
 ORACLE = _oracle()
 
-genotypes = st.tuples(*[st.integers(0, 1)] * GENES)
+#: Half the draws come from a few hot genotypes, so rules keep meeting
+#: each other's rows.
+genotypes = st.one_of(
+    st.sampled_from([SPACE[1], SPACE[22], SPACE[63]]), st.sampled_from(SPACE)
+)
 batches = st.lists(genotypes, min_size=0, max_size=12)
 
 
@@ -83,22 +89,33 @@ class EngineMemoMachine(RuleBasedStateMachine):
 
     def teardown(self) -> None:
         self.engine.close()
+        if self.peer is not None:
+            self.peer.close()
         shutil.rmtree(self.cache_dir, ignore_errors=True)
 
     def _fresh_engine(self) -> None:
         self.engine = EvaluationEngine(
-            column_memo_max_entries=self.bound, vectorized=self.vectorized
+            column_memo_max_entries=self.bound,
+            vectorized=self.vectorized,
+            shared_cache=self.shared_cache,
         )
         beacon_problem(self.engine)
         # Genotypes the engine holds, tracked for unbounded engines only.
         self.held = {PROBE}
 
     @initialize(
-        bound=st.sampled_from([None, 1, 3, 8]), vectorized=st.booleans()
+        bound=st.sampled_from([None, 1, 3, 8]),
+        vectorized=st.booleans(),
+        shared=st.booleans(),
     )
-    def start(self, bound, vectorized) -> None:
+    def start(self, bound, vectorized, shared) -> None:
         self.bound = bound
         self.vectorized = vectorized
+        self.shared_cache = SharedGenotypeCache() if shared else None
+        self.peer = None
+        if shared:
+            self.peer = EvaluationEngine(shared_cache=self.shared_cache)
+            beacon_problem(self.peer)
         self._fresh_engine()
 
     # ---------------------------------------------------------- serving
@@ -142,15 +159,22 @@ class EngineMemoMachine(RuleBasedStateMachine):
         self._check_designs(batch, result.materialise())
         self.held.update(batch)
 
+    @precondition(lambda self: self.peer is not None)
+    @rule(batch=batches)
+    def peer_publishes(self, batch) -> None:
+        self._check_designs(batch, self.peer.evaluate_many(batch))
+
     @rule(batch=batches)
     def flags_predict_the_work(self, batch) -> None:
         flags = self.engine.cached_row_flags(batch)
         if self.bound is None:
             assert flags == [genotype in self.held for genotype in batch]
-        before = self.engine.stats.model_evaluations
+        stats = self.engine.stats
+        before = stats.model_evaluations + stats.shared_cache_hits
         self.engine.evaluate_many_columnar(batch)
         uncached = {genotype for genotype, flag in zip(batch, flags) if not flag}
-        assert self.engine.stats.model_evaluations - before == len(uncached)
+        after = stats.model_evaluations + stats.shared_cache_hits
+        assert after - before == len(uncached)
         self.held.update(batch)
 
     # ------------------------------------------------------ persistence
@@ -199,9 +223,12 @@ class EngineMemoMachine(RuleBasedStateMachine):
 
     @invariant()
     def ledger_balances(self) -> None:
-        stats = self.engine.stats
-        served = stats.genotype_cache_hits + stats.shared_cache_hits
-        assert stats.genotype_requests == served + stats.model_evaluations
+        for engine in (self.engine, self.peer):
+            if engine is None:
+                continue
+            stats = engine.stats
+            served = stats.genotype_cache_hits + stats.shared_cache_hits
+            assert stats.genotype_requests == served + stats.model_evaluations
 
     @invariant()
     def bound_holds(self) -> None:
