@@ -232,14 +232,17 @@ class EvaluationEngine:
             components.  Requires the genotype cache and a problem exposing
             ``evaluation_fingerprint`` / ``objective_components``; silently
             inactive otherwise.
-        column_memo_max_entries: optional LRU bound on the column-row store
-            (:class:`~repro.engine.memo.ColumnMemo`, which holds a row for
-            every genotype any path memoised); when set, the
-            least-recently-used rows beyond the bound are evicted at the
-            end of each batch, counted in
+        column_memo_max_entries: optional LRU bound on the column rows of
+            the row store (:class:`~repro.engine.memo.ColumnMemo`) that
+            columnar batches computed or a persistent segment supplied;
+            when set, the least-recently-used such rows beyond the bound
+            are evicted at the end of each batch (so the store can exceed
+            the bound by one batch until then), counted in
             ``EngineStats.column_memo_evictions`` (an eviction only costs a
-            future recompute — it can never change results).  ``None``
-            keeps the store unbounded.
+            future recompute — it can never change results).  Rows of
+            genotypes whose designs are memoised stay in the store outside
+            the bound: the design memo holds them anyway.  ``None`` keeps
+            the store unbounded.
         cache_dir: directory of the persistent cache tier
             (:mod:`repro.engine.persist`).  At :meth:`bind` the engine
             adopts the problem's fingerprint segment (if one exists) as the
@@ -291,8 +294,8 @@ class EvaluationEngine:
         self.stats = stats if stats is not None else EngineStats()
         self.shared_cache = shared_cache
         # Materialised design objects by genotype.  Every design memoised
-        # here also has a row in ``_rows``, so an unbounded engine never
-        # consults this dict for a row-store miss.
+        # here also has a pinned row in ``_rows`` (never evicted), so no
+        # path consults this dict for a row-store miss.
         self._memo: dict[tuple[int, ...], "EvaluatedDesign"] = {}
         # The row store: one sorted column row per memoised genotype, keyed
         # by genotype rank (created at the first use after bind, when the
@@ -347,8 +350,9 @@ class EvaluationEngine:
 
     @property
     def column_memo_size(self) -> int:
-        """Number of column rows in the row store."""
-        return 0 if self._rows is None else len(self._rows)
+        """Number of column rows the LRU bound counts (every stored row of
+        an unbounded engine)."""
+        return 0 if self._rows is None else self._rows.counted_rows()
 
     def evaluate(self, genotype: Sequence[int]) -> "EvaluatedDesign":
         """Evaluate one genotype, serving it from the memo cache if possible.
@@ -514,8 +518,8 @@ class EvaluationEngine:
         inverse: np.ndarray | None = None
         hit_rows = np.empty(0, dtype=np.int64)
         hit_columns: tuple[np.ndarray, ...] | None = None
-        design_rows: dict[int, _ColumnRow] = {}
-        shared_rows: list[int] = []
+        # Rows the shared cache served, by distinct-row index.
+        shared_rows: dict[int, _ColumnRow] = {}
         if self.genotype_cache_enabled:
             store = self._row_store()
             keys = store.keys(matrix)
@@ -541,27 +545,18 @@ class EvaluationEngine:
                 hit_columns = self._store_hits(slots[hit_rows])
                 stats.genotype_cache_hits += len(hit_rows)
             pending_rows = np.flatnonzero(~hit)
-            if len(pending_rows) and (
-                self._memo_outgrows_rows() or self._shared_active()
-            ):
-                # Row-store misses may still be memoised as designs (rows
-                # evicted by the LRU bound) or known to the shared cache.
+            if len(pending_rows) and self._shared_active():
+                # Row-store misses may still be known to the shared cache.
                 still_pending = []
                 for row_index, key in zip(
                     pending_rows.tolist(),
                     map(tuple, unique_matrix[pending_rows].tolist()),
                 ):
-                    design = self._memo.get(key)
-                    if design is not None:
-                        stats.genotype_cache_hits += 1
-                        design_rows[row_index] = _design_row(design)
-                        continue
                     design = self._shared_lookup(key)
                     if design is not None:
                         stats.shared_cache_hits += 1
                         self._memo[key] = design
-                        design_rows[row_index] = _design_row(design)
-                        shared_rows.append(row_index)
+                        shared_rows[row_index] = _design_row(design)
                         continue
                     still_pending.append(row_index)
                 pending_rows = np.asarray(still_pending, dtype=np.int64)
@@ -572,7 +567,7 @@ class EvaluationEngine:
             pending_rows = np.arange(len(matrix))
 
         n_pending = len(pending_rows)
-        n_cached = len(hit_rows) + len(design_rows)
+        n_cached = len(hit_rows) + len(shared_rows)
         if n_pending == len(unique_matrix):
             pending_matrix = unique_matrix
         else:
@@ -607,9 +602,10 @@ class EvaluationEngine:
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns = self._degraded_columns(pending_matrix, exc)
+                columns, memoised = self._degraded_columns(pending_matrix, exc)
                 stats.model_evaluations += n_pending
             else:
+                memoised = False
                 pruned_result = True
                 stats.model_evaluations += n_pending
                 stats.vectorized_designs += n_pending
@@ -618,7 +614,7 @@ class EvaluationEngine:
             finally:
                 self._drain_backend_faults()
         else:
-            columns = self._compute_columns(pending_matrix, n_cached=n_cached)
+            columns, memoised = self._compute_columns(pending_matrix, n_cached=n_cached)
 
         computed_rows = pending_rows
         if kept_pending is not None:
@@ -627,20 +623,29 @@ class EvaluationEngine:
             # In pruned mode only surviving rows came back — only they can
             # be stored (dominated rows are recomputed if ever re-asked, a
             # pure performance trade the caches are allowed to make).
+            # Shared-cache rows were memoised as designs: pinned, outside
+            # the LRU bound; computed rows count, pinned if the scalar path
+            # memoised their designs.
             parts = [columns] if len(computed_rows) else []
+            shared_index = np.fromiter(shared_rows, dtype=np.int64)
             if shared_rows:
-                parts.insert(0, _row_columns([design_rows[r] for r in shared_rows]))
-            stored_rows = np.concatenate(
-                [np.asarray(shared_rows, dtype=np.int64), computed_rows]
+                parts.insert(0, _row_columns(list(shared_rows.values())))
+            counted = np.concatenate(
+                [np.zeros(len(shared_index), bool), np.ones(len(computed_rows), bool)]
             )
-            self._remember(keys[stored_rows], _stack_columns(parts))
+            self._remember(
+                keys[np.concatenate([shared_index, computed_rows])],
+                _stack_columns(parts),
+                pinned=~counted | memoised,
+                counted=counted,
+            )
 
         if n_pending:
             n_objectives = columns.objectives.shape[1]
         elif hit_columns is not None:
             n_objectives = hit_columns[0].shape[1]
-        elif design_rows:
-            n_objectives = len(next(iter(design_rows.values()))[0])
+        elif shared_rows:
+            n_objectives = len(next(iter(shared_rows.values()))[0])
         else:
             n_objectives = int(getattr(problem, "n_objectives", 0))
         count = len(unique_matrix)
@@ -652,7 +657,7 @@ class EvaluationEngine:
                 hit_columns
             )
         for row_index, (row_objectives, row_feasible, row_violations) in (
-            design_rows.items()
+            shared_rows.items()
         ):
             objectives[row_index] = row_objectives
             feasible[row_index] = row_feasible
@@ -670,7 +675,7 @@ class EvaluationEngine:
                 np.concatenate(
                     [
                         hit_rows,
-                        np.fromiter(design_rows, dtype=np.int64),
+                        np.fromiter(shared_rows, dtype=np.int64),
                         computed_rows,
                     ]
                 )
@@ -744,15 +749,22 @@ class EvaluationEngine:
                     self._memo[keys[index]] = design
                 self._shared_store(keys[index], design)
             if self.genotype_cache_enabled:
-                # Designs memoised here keep a row in the store too (rows
+                # Designs memoised here keep a pinned row in the store (rows
                 # restored from a checkpoint may not have one yet).
                 store = self._row_store()
                 row_keys, first = np.unique(
                     store.keys(matrix[rows]), return_index=True
                 )
-                fresh = store.find(row_keys) < 0
+                slots = store.find(row_keys)
+                store.pin(slots[slots >= 0])
+                fresh = slots < 0
                 if fresh.any():
-                    self._remember(row_keys[fresh], columns.take(first[fresh]))
+                    self._remember(
+                        row_keys[fresh],
+                        columns.take(first[fresh]),
+                        pinned=True,
+                        counted=False,
+                    )
         return results
 
     def close(self) -> None:
@@ -804,11 +816,7 @@ class EvaluationEngine:
         """
         if not self.genotype_cache_enabled or not len(genotypes):
             return [False] * len(genotypes)
-        flags = self._find(genotypes) >= 0
-        if self._memo_outgrows_rows():
-            for index in np.flatnonzero(~flags).tolist():
-                flags[index] = tuple(genotypes[index]) in self._memo
-        return flags.tolist()
+        return (self._find(genotypes) >= 0).tolist()
 
     @contextlib.contextmanager
     def deadline_scope(self, seconds: float | None) -> Any:
@@ -908,15 +916,9 @@ class EvaluationEngine:
             )
             return 0
         store = self._row_store()
-        keys = store.keys(matrix)
-        feasible = segment.feasible
-        violations = segment.violation_counts
-        if self._memo_outgrows_rows():
-            local = np.isin(keys, store.keys(space.index_matrix(list(self._memo))))
-            keys, objectives, feasible, violations = (
-                keys[~local], objectives[~local], feasible[~local], violations[~local]
-            )
-        loaded = store.adopt(keys, objectives, feasible, violations)
+        loaded = store.adopt(
+            store.keys(matrix), objectives, segment.feasible, segment.violation_counts
+        )
         self.stats.column_memo_evictions += store.evict()
         if origin is not None:
             self._disk_origin[path] = origin
@@ -928,8 +930,7 @@ class EvaluationEngine:
     ) -> Path | None:
         """Spill the engine's row store to the persistent tier's segment.
 
-        Merges the store's sorted columns (plus any design memoised beyond
-        an LRU-bounded store) into the fingerprint's segment under
+        Merges the store's sorted columns into the fingerprint's segment under
         ``cache_dir`` (default: the engine's configured ``cache_dir``) —
         see :func:`repro.engine.persist.spill_columns` for the merge rules.
         When every stored row came off that very segment file and the file
@@ -950,36 +951,26 @@ class EvaluationEngine:
         assert self._fingerprint is not None
         assert self._objective_components is not None
         store = self._rows
-        extra: list[tuple[int, ...]] = []
-        if self._memo_outgrows_rows():
-            # Designs whose rows the LRU bound evicted still spill.
-            slots = self._find(list(self._memo))
-            extra = [key for key, slot in zip(self._memo, slots.tolist()) if slot < 0]
-        if (store is None or not len(store)) and not extra:
+        if store is None or not len(store):
             return None
         path = segment_path(directory, self._fingerprint)
-        if not extra and not store.computed_rows() and self._origin_unchanged(path):
-            os.utime(path)
-            self._disk_origin[path] = _file_identity(path)
-            return path
-        # Every memoised design was stored when it was memoised, so a
-        # non-empty ``extra`` implies a non-empty store.
+        if not store.computed_rows() and self._origin_unchanged(path):
+            try:
+                os.utime(path)
+                self._disk_origin[path] = _file_identity(path)
+            except OSError:
+                pass  # removed or replaced meanwhile: merge into what is there
+            else:
+                return path
         keys, objectives, feasible, violations = store.columns()
-        genotypes = store.genotypes(keys)
-        columns = WbsnBatchColumns(objectives, feasible, violations)
-        if extra:
-            genotypes = np.concatenate([genotypes, np.asarray(extra, dtype=np.int64)])
-            columns = _stack_columns(
-                [columns, _row_columns([_design_row(self._memo[key]) for key in extra])]
-            )
         return spill_columns(
             directory,
             fingerprint=self._fingerprint,
             components=self._objective_components,
-            genotypes=genotypes,
-            objectives=columns.objectives,
-            feasible=columns.feasible,
-            violation_counts=columns.violation_counts,
+            genotypes=store.genotypes(keys),
+            objectives=objectives,
+            feasible=feasible,
+            violation_counts=violations,
         )
 
     def _origin_unchanged(self, path: Path) -> bool:
@@ -1070,25 +1061,37 @@ class EvaluationEngine:
         self.stats.persistent_cache_hits += int(loaded.sum())
         return objectives, feasible, violations
 
-    def _remember(self, keys: np.ndarray, columns: WbsnBatchColumns) -> None:
-        """Store rows for distinct, not yet stored keys; end-of-batch LRU
+    def _remember(
+        self, keys: np.ndarray, columns: WbsnBatchColumns, *, pinned, counted
+    ) -> None:
+        """Store rows for distinct, not yet stored keys (see
+        :meth:`ColumnMemo.insert` for the flags); end-of-batch LRU
         eviction."""
         store = self._row_store()
         store.insert(
-            keys, columns.objectives, columns.feasible, columns.violation_counts
+            keys,
+            columns.objectives,
+            columns.feasible,
+            columns.violation_counts,
+            pinned=pinned,
+            counted=counted,
         )
         self.stats.column_memo_evictions += store.evict()
 
     def _remember_designs(
         self, keys: Sequence[tuple[int, ...]], designs: Sequence["EvaluatedDesign"]
     ) -> None:
-        """Store the rows of designs just memoised for row-store misses."""
+        """Store pinned rows, outside the LRU bound, for designs just
+        memoised for row-store misses."""
         if not keys:
             return
         store = self._row_store()
         matrix = np.asarray(keys, dtype=np.int64).reshape(len(keys), -1)
         self._remember(
-            store.keys(matrix), _row_columns([_design_row(d) for d in designs])
+            store.keys(matrix),
+            _row_columns([_design_row(d) for d in designs]),
+            pinned=True,
+            counted=False,
         )
 
     def _materialise_stored(
@@ -1099,11 +1102,6 @@ class EvaluationEngine:
         return self.materialise_rows(
             self._problem.space.index_matrix(keys), objectives, feasible, violations
         )
-
-    def _memo_outgrows_rows(self) -> bool:
-        """Whether the design memo may hold genotypes the row store lacks —
-        only after an LRU-bounded store evicted rows of memoised designs."""
-        return self.column_memo_max_entries is not None and bool(self._memo)
 
     def _shared_active(self) -> bool:
         return self.shared_cache is not None and self._fingerprint is not None
@@ -1286,15 +1284,16 @@ class EvaluationEngine:
 
     def _degraded_columns(
         self, pending_matrix: np.ndarray, cause: BaseException
-    ) -> WbsnBatchColumns:
+    ) -> tuple[WbsnBatchColumns, bool]:
         """Columnar sibling of :meth:`_degraded_designs` (same ladder).
 
         Returns *full* (unpruned) columns for every pending row — a caller
         that asked for worker-side pruning must fall back to the full-batch
         contract.  The scalar rung memoises its computed designs exactly
         like the scalar branch of :meth:`_compute_columns`, so later
-        materialisation of survivors stays free.  The caller counts
-        ``model_evaluations``.
+        materialisation of survivors stays free; like that method, returns
+        the columns and whether their designs were memoised.  The caller
+        counts ``model_evaluations``.
         """
         self.stats.degraded_batches += 1
         problem = self._problem
@@ -1313,12 +1312,13 @@ class EvaluationEngine:
             else:
                 self._warn_degraded("in-process serial kernel", cause)
                 self.stats.vectorized_designs += len(pending_matrix)
-                return columns
+                return columns, False
         self._warn_degraded("in-process scalar path", cause)
         pending = _matrix_keys(pending_matrix)
-        return self._memoised_columns(
+        columns = self._memoised_columns(
             pending, [problem.compute_design(key) for key in pending]
         )
+        return columns, self.genotype_cache_enabled
 
     def _memoised_columns(
         self,
@@ -1335,13 +1335,14 @@ class EvaluationEngine:
 
     def _compute_columns(
         self, pending_matrix: np.ndarray, n_cached: int
-    ) -> WbsnBatchColumns:
+    ) -> tuple[WbsnBatchColumns, bool]:
         """Compute raw column rows for a batch's miss rows (any path).
 
         The columnar sibling of :meth:`_compute`: the in-process kernel and
         the sharded backend return their columns untouched, and the scalar
         fallback flattens per-design results into columns (memoising the
-        computed designs so their materialisation later is free).
+        computed designs so their materialisation later is free).  Returns
+        the columns and whether their designs were memoised.
         ``pending_matrix`` holds the miss rows as already-validated index
         rows — the kernel paths consume it directly, so the batch matrix is
         bounds-checked once, not per path.
@@ -1358,8 +1359,9 @@ class EvaluationEngine:
             # Cached rows never reach a column gather, exactly like the
             # cached-row mask of the object path.
             stats.rows_skipped_cached += n_cached
+        memoised = False
         if not n_pending:
-            return WbsnBatchColumns.empty(0)
+            return WbsnBatchColumns.empty(0), memoised
         if vectorizable and in_process and hasattr(problem, "compute_columns_batch"):
             faults.maybe_fire("kernel")
             columns = problem.compute_columns_batch(pending_matrix)
@@ -1372,7 +1374,7 @@ class EvaluationEngine:
             except WorkerRecoveryExhausted as exc:
                 if not self.degrade_on_failure:
                     raise
-                columns = self._degraded_columns(pending_matrix, exc)
+                columns, memoised = self._degraded_columns(pending_matrix, exc)
             else:
                 stats.vectorized_designs += n_pending
                 stats.sharded_designs += n_pending
@@ -1383,8 +1385,9 @@ class EvaluationEngine:
             columns = self._memoised_columns(
                 pending, self._compute_scalar_chunks(pending)
             )
+            memoised = self.genotype_cache_enabled
         stats.model_evaluations += n_pending
-        return columns
+        return columns, memoised
 
     def __getstate__(self) -> dict[str, Any]:
         # Worker processes only need the compute path; the memos (and the

@@ -18,22 +18,30 @@ the words big-endian into one fixed-width byte string (``S8``, ``S16``,
 every space size shares one code path: ``np.searchsorted`` / ``np.unique``
 on the packed keys.
 
-**Layout.**  A sorted *main* run plus a small sorted *tail* run, each a set
-of parallel columns (key, objectives, feasible, violations, row source and,
-for bounded stores, a recency stamp).  The source tells rows computed in
-this process (:data:`COMPUTED`) from rows adopted off a persistent segment
-(:data:`LOADED`) and from computed rows that a later-loaded segment also
-holds (:data:`MIRRORED`).  Inserts merge into the tail and
-the tail merges into main once it outgrows a quarter of it, so a stream of
-small batches never copies the whole store per batch.  A slot number
-addresses a row across both runs (main rows first) until the next insert or
-eviction.
+**Layout.**  A short list of sorted *runs* with disjoint keys, each a set of
+parallel columns (key, objectives, feasible, violations, row source and,
+for bounded stores, a recency stamp and a pin flag).  The source tells rows
+computed in this process (:data:`COMPUTED`) from rows adopted off a
+persistent segment (:data:`LOADED`) and from computed rows that a
+later-loaded segment also holds (:data:`MIRRORED`).  An insert appends its
+batch as a new run, then merges the last two runs for as long as the older
+one is at most twice the size of the newer, so run sizes shrink
+geometrically: a lookup searches O(log n) runs, and an insert copies
+O(batch * log n) rows amortised — never the whole store per batch, and a
+loaded segment's run is only copied once the rows inserted after it add up
+to half its size.  A slot number addresses a row across all runs (in run
+order) until the next insert, eviction or compaction.
 
 **LRU bound.**  With ``max_entries`` set, every touch and insert stamps its
 rows from a monotonic clock, in call order; :meth:`ColumnMemo.evict` then
 drops the oldest stamps beyond the bound — exactly the rows a per-insert
 least-recently-used policy would have dropped, since inserted rows always
-carry the newest stamps.
+carry the newest stamps.  Between an insert and the :meth:`evict` that
+follows it the store can hold up to one batch more than the bound.  Rows
+the caller *pins* (their genotypes are memoised as design objects
+elsewhere, so dropping the row would save nothing) are never removed: an
+eviction only takes them out of the bound's accounting (stamp
+:data:`UNCOUNTED`), and rows inserted with ``counted=False`` start there.
 """
 
 from __future__ import annotations
@@ -42,20 +50,22 @@ import math
 
 import numpy as np
 
-__all__ = ["COMPUTED", "LOADED", "MIRRORED", "ColumnMemo"]
+__all__ = ["COMPUTED", "LOADED", "MIRRORED", "UNCOUNTED", "ColumnMemo"]
 
 #: Row sources.
 COMPUTED, LOADED, MIRRORED = 0, 1, 2
 
+#: Recency stamp of a row outside the LRU bound's accounting.
+UNCOUNTED = -1
+
 #: Largest radix product ranked into one key word (ranks stay below 2**63).
 _WORD_LIMIT = 1 << 63
-#: The tail run merges into main once it holds more than this many rows and
-#: more than a quarter of main.
-_TAIL_MIN = 4096
 #: Genotype-matrix elements ranked per block by :meth:`ColumnMemo.keys`.
 _KEY_BLOCK = 1 << 18
 
-_COLUMNS = ("keys", "objectives", "feasible", "violations", "source", "stamps")
+_COLUMNS = (
+    "keys", "objectives", "feasible", "violations", "source", "stamps", "pinned"
+)
 
 
 class _Run:
@@ -63,56 +73,65 @@ class _Run:
 
     __slots__ = _COLUMNS
 
-    def __init__(self, keys, objectives, feasible, violations, source, stamps):
+    def __init__(
+        self, keys, objectives, feasible, violations, source, stamps, pinned
+    ):
         self.keys = keys
         self.objectives = objectives
         self.feasible = feasible
         self.violations = violations
         self.source = source
         self.stamps = stamps
+        self.pinned = pinned
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def columns(self):
-        return [(name, getattr(self, name)) for name in _COLUMNS]
-
     def take(self, index: np.ndarray) -> "_Run":
         """The rows at ``index`` (integer or boolean), as a new run."""
         return _Run(
-            *(None if column is None else column[index] for _, column in self.columns())
+            *(
+                None if getattr(self, name) is None else getattr(self, name)[index]
+                for name in _COLUMNS
+            )
         )
 
-    def find(self, keys: np.ndarray) -> np.ndarray:
-        """Row of each key in this run, ``-1`` where absent."""
-        if not len(self.keys):
-            return np.full(len(keys), -1, dtype=np.int64)
-        at = np.searchsorted(self.keys, keys)
-        clipped = np.minimum(at, len(self.keys) - 1)
-        return np.where(self.keys[clipped] == keys, clipped, -1)
 
-    def merge(self, other: "_Run") -> None:
-        """Merge a run with disjoint keys into this one, column by column
-        (each old column is released as soon as its merged copy exists)."""
-        total = len(self) + len(other)
-        if not len(self) or not len(other) or self.keys[-1] < other.keys[0]:
-            # Appending (the ascending inserts of a sweep): no interleave.
-            incoming = resident = None
-        else:
-            incoming = np.searchsorted(self.keys, other.keys) + np.arange(len(other))
-            resident = np.searchsorted(other.keys, self.keys) + np.arange(len(self))
-        for name in _COLUMNS:
-            if getattr(self, name) is None:
-                continue
-            if incoming is None:
-                merged = np.concatenate([getattr(self, name), getattr(other, name)])
-            else:
-                column = getattr(self, name)
-                merged = np.empty((total,) + column.shape[1:], dtype=column.dtype)
-                merged[resident] = column
-                merged[incoming] = getattr(other, name)
-                del column
-            setattr(self, name, merged)
+def _merge(older: _Run, newer: _Run) -> _Run:
+    """One sorted run of two runs with disjoint keys (each column of the
+    inputs can be released as soon as its merged copy exists)."""
+    if not len(older):
+        return newer
+    if not len(newer):
+        return older
+    if older.keys[-1] < newer.keys[0] or newer.keys[-1] < older.keys[0]:
+        # Disjoint key ranges (the ascending inserts of a sweep): no
+        # interleave, one concatenation per column.
+        first, second = (
+            (older, newer) if older.keys[-1] < newer.keys[0] else (newer, older)
+        )
+        return _Run(
+            *(
+                None
+                if getattr(first, name) is None
+                else np.concatenate([getattr(first, name), getattr(second, name)])
+                for name in _COLUMNS
+            )
+        )
+    incoming = np.searchsorted(older.keys, newer.keys) + np.arange(len(newer))
+    resident = np.searchsorted(newer.keys, older.keys) + np.arange(len(older))
+    total = len(older) + len(newer)
+    merged = []
+    for name in _COLUMNS:
+        column = getattr(older, name)
+        if column is None:
+            merged.append(None)
+            continue
+        out = np.empty((total,) + column.shape[1:], dtype=column.dtype)
+        out[resident] = column
+        out[incoming] = getattr(newer, name)
+        merged.append(out)
+    return _Run(*merged)
 
 
 class ColumnMemo:
@@ -120,8 +139,9 @@ class ColumnMemo:
 
     Args:
         cardinalities: per-gene domain sizes of the design space.
-        max_entries: optional LRU bound (see :meth:`evict`); ``None`` keeps
-            the store unbounded and stamps nothing.
+        max_entries: optional LRU bound on the counted rows (see
+            :meth:`evict`); ``None`` keeps the store unbounded and stamps
+            nothing.
     """
 
     def __init__(self, cardinalities, *, max_entries: int | None = None) -> None:
@@ -148,9 +168,7 @@ class ColumnMemo:
         self._key_dtype = np.dtype(f"S{8 * len(groups)}")
         self.max_entries = max_entries
         self._clock = 0
-        self._n_objectives: int | None = None
-        self._main = self._empty_run(0)
-        self._tail = self._empty_run(0)
+        self._runs: list[_Run] = []
 
     # ------------------------------------------------------------- keys
 
@@ -183,63 +201,77 @@ class ColumnMemo:
     # ----------------------------------------------------------- lookups
 
     def __len__(self) -> int:
-        return len(self._main) + len(self._tail)
+        return sum(len(run) for run in self._runs)
+
+    def counted_rows(self) -> int:
+        """Rows the LRU bound counts (every row of an unbounded store)."""
+        if self.max_entries is None:
+            return len(self)
+        return sum(int(np.count_nonzero(run.stamps != UNCOUNTED)) for run in self._runs)
+
+    def computed_rows(self) -> int:
+        """Stored rows no loaded segment holds (source :data:`COMPUTED`)."""
+        return sum(int(np.count_nonzero(run.source == COMPUTED)) for run in self._runs)
 
     def find(self, keys: np.ndarray) -> np.ndarray:
         """Slot of each key, ``-1`` where the store holds no row for it."""
-        slots = self._main.find(keys)
-        if len(self._tail):
-            in_tail = self._tail.find(keys)
-            slots = np.where(in_tail >= 0, in_tail + len(self._main), slots)
+        slots = np.full(len(keys), -1, dtype=np.int64)
+        offset = 0
+        for run in self._runs:
+            size = len(run.keys)
+            if size:
+                at = run.keys.searchsorted(keys)
+                np.minimum(at, size - 1, out=at)
+                found = run.keys[at] == keys
+                slots[found] = at[found] + offset
+            offset += size
         return slots
 
     def rows(self, slots: np.ndarray):
         """``(objectives, feasible, violations, loaded)`` of the rows at
-        valid ``slots``, in slot order (``loaded`` flags :data:`LOADED`
-        rows)."""
-        split = len(self._main)
-        if not len(self._tail) or (len(slots) and slots.max() < split):
-            run, index = self._main, slots
+        valid, non-empty ``slots``, in slot order (``loaded`` flags
+        :data:`LOADED` rows)."""
+        parts = list(self._locate(slots))
+        if len(parts) == 1:
+            _, run, index = parts[0]
             return (
                 run.objectives[index],
                 run.feasible[index],
                 run.violations[index],
                 run.source[index] == LOADED,
             )
-        # Gather from both runs into one set of columns.
-        in_main = slots < split
-        objectives = np.empty((len(slots), self._n_objectives or 0))
+        # Gather from several runs into one set of columns.
+        width = self._runs[0].objectives.shape[1] if self._runs else 0
+        objectives = np.empty((len(slots), width))
         feasible = np.empty(len(slots), dtype=bool)
         violations = np.empty(len(slots), dtype=np.int64)
         loaded = np.empty(len(slots), dtype=bool)
-        for mask, run, index in (
-            (in_main, self._main, slots[in_main]),
-            (~in_main, self._tail, slots[~in_main] - split),
-        ):
+        for mask, run, index in parts:
             objectives[mask] = run.objectives[index]
             feasible[mask] = run.feasible[index]
             violations[mask] = run.violations[index]
             loaded[mask] = run.source[index] == LOADED
         return objectives, feasible, violations, loaded
 
+    # ----------------------------------------------------------- updates
+
     def touch(self, slots: np.ndarray) -> None:
-        """Mark rows as most recently used, in ``slots`` order."""
+        """Mark counted rows as most recently used, in ``slots`` order
+        (uncounted rows stay outside the bound)."""
         if self.max_entries is None or not len(slots):
             return
         stamps = self._tick(len(slots))
-        split = len(self._main)
-        in_main = slots < split
-        self._main.stamps[slots[in_main]] = stamps[in_main]
-        self._tail.stamps[slots[~in_main] - split] = stamps[~in_main]
+        for mask, run, index in self._locate(slots):
+            run.stamps[index] = np.where(
+                run.stamps[index] == UNCOUNTED, UNCOUNTED, stamps[mask]
+            )
 
-    def computed_rows(self) -> int:
-        """Stored rows no loaded segment holds (source :data:`COMPUTED`)."""
-        return int(
-            np.count_nonzero(self._main.source == COMPUTED)
-            + np.count_nonzero(self._tail.source == COMPUTED)
-        )
-
-    # ----------------------------------------------------------- updates
+    def pin(self, slots: np.ndarray) -> None:
+        """Keep the rows at ``slots`` in the store through any eviction."""
+        if self.max_entries is None or not len(slots):
+            return
+        for _, run, index in self._locate(slots):
+            run.pinned[index] = True
 
     def insert(
         self,
@@ -247,23 +279,31 @@ class ColumnMemo:
         objectives: np.ndarray,
         feasible: np.ndarray,
         violations: np.ndarray,
+        *,
+        pinned=False,
+        counted=True,
     ) -> None:
         """Store computed rows for distinct keys the store does not hold yet.
 
-        Rows are stamped most-recently-used in the given order; call
+        ``pinned`` and ``counted`` (a flag, or one flag per row) only
+        matter to a bounded store: pinned rows are never removed, and rows
+        not counted stay outside the bound (they must be pinned).  Counted
+        rows are stamped most-recently-used in the given order; call
         :meth:`evict` once the batch is complete.
         """
         if not len(keys):
             return
         run = self._run(keys, objectives, feasible, violations, COMPUTED)
+        if run.stamps is not None:
+            run.pinned[:] = pinned
+            run.stamps[~np.broadcast_to(counted, len(keys))] = UNCOUNTED
         if len(keys) > 1:
             run = run.take(np.argsort(run.keys, kind="stable"))
-        if not len(self._tail):
-            self._tail = run
-        else:
-            self._tail.merge(run)
-        if len(self._tail) > max(_TAIL_MIN, len(self._main) // 4):
-            self._compact()
+        runs = self._runs
+        runs.append(run)
+        while len(runs) > 1 and len(runs[-2]) <= 2 * len(runs[-1]):
+            newer = runs.pop()
+            runs[-1] = _merge(runs[-1], newer)
 
     def adopt(
         self,
@@ -274,14 +314,14 @@ class ColumnMemo:
     ) -> int:
         """Load a persisted segment's rows; returns how many were new.
 
-        The segment becomes the main run — its (sorted) columns as-is, so
+        The segment becomes the first run — its (sorted) columns as-is, so
         a loaded segment's read-only memory-mapped arrays are served
-        without a copy — and the rows stored so far move to the tail,
+        without a copy — and the rows stored so far follow as one run,
         except those the segment also holds: they stay in place of the
-        segment's row (values, recency, source), marked :data:`MIRRORED`
-        if they were computed here.  Of keys repeated in the segment the
-        first wins.  New rows are stamped most-recently-used in segment
-        order.
+        segment's row (values, recency, pin, source), marked
+        :data:`MIRRORED` if they were computed here.  Of keys repeated in
+        the segment the first wins.  New rows are counted and stamped
+        most-recently-used in segment order.
         """
         if not len(keys):
             return 0
@@ -293,12 +333,14 @@ class ColumnMemo:
             )
             ranks = np.argsort(np.argsort(first))  # segment order of each row
         self._compact()
-        local = self._main
+        local = self._runs[0] if self._runs else None
         segment = self._run(keys, objectives, feasible, violations, LOADED)
         if ranks is not None and segment.stamps is not None:
             segment.stamps = segment.stamps[0] + ranks
-        at = segment.find(local.keys)
-        shared = at >= 0
+        shared = np.zeros(0, dtype=bool)
+        if local is not None:
+            at = np.minimum(segment.keys.searchsorted(local.keys), len(segment) - 1)
+            shared = segment.keys[at] == local.keys
         if shared.any():
             rows, mine = at[shared], local.take(shared)
             for name in ("objectives", "feasible", "violations"):
@@ -313,70 +355,88 @@ class ColumnMemo:
             )
             if segment.stamps is not None:
                 segment.stamps[rows] = mine.stamps
-        self._main = segment
-        self._tail = local.take(~shared)
+                segment.pinned[rows] = mine.pinned
+        self._runs = [segment]
+        if local is not None and not shared.all():
+            self._runs.append(local.take(~shared))
         return len(keys) - int(np.count_nonzero(shared))
 
     def evict(self) -> int:
-        """Drop the least recently used rows beyond ``max_entries``;
-        returns how many went."""
-        excess = len(self) - (self.max_entries or len(self))
+        """Take the least recently used counted rows beyond ``max_entries``
+        out of the bound — removing them, unless pinned; returns how many
+        went."""
+        if self.max_entries is None or len(self) <= self.max_entries:
+            return 0
+        stamps = np.concatenate([run.stamps for run in self._runs])
+        counted = np.flatnonzero(stamps != UNCOUNTED)
+        excess = len(counted) - self.max_entries
         if excess <= 0:
             return 0
-        stamps = np.concatenate([self._main.stamps, self._tail.stamps])
-        victims = np.argpartition(stamps, excess - 1)[:excess]
+        victims = counted[np.argpartition(stamps[counted], excess - 1)[:excess]]
         keep = np.ones(len(stamps), dtype=bool)
         keep[victims] = False
-        split = len(self._main)
-        self._main = self._main.take(keep[:split])
-        self._tail = self._tail.take(keep[split:])
+        offset = 0
+        runs = []
+        for run in self._runs:
+            kept = keep[offset : offset + len(run)]
+            offset += len(run)
+            # Pinned victims stay, outside the bound from now on; a loaded
+            # row that leaves the bound no longer counts as a disk hit.
+            leaving = ~kept & run.pinned
+            if leaving.any():
+                run.stamps[leaving] = UNCOUNTED
+                run.source[leaving & (run.source == LOADED)] = MIRRORED
+                kept = kept | leaving
+            if kept.all():
+                runs.append(run)
+            elif kept.any():
+                runs.append(run.take(kept))
+        self._runs = runs
         return excess
 
     def columns(self):
-        """Every row, ascending by key: ``(keys, objectives, feasible,
-        violations)``."""
+        """Every row of a non-empty store, ascending by key: ``(keys,
+        objectives, feasible, violations)``."""
         self._compact()
-        run = self._main
+        run = self._runs[0]
         return run.keys, run.objectives, run.feasible, run.violations
 
     # ---------------------------------------------------------- internals
+
+    def _locate(self, slots: np.ndarray):
+        """``(mask, run, index)`` per run the ``slots`` fall in: ``mask``
+        selects the slots, ``index`` their rows within the run."""
+        if len(self._runs) == 1:
+            return [(slice(None), self._runs[0], slots)]
+        starts = np.cumsum([0] + [len(run) for run in self._runs[:-1]])
+        which = np.searchsorted(starts, slots, side="right") - 1
+        parts = []
+        for number, (run, start) in enumerate(zip(self._runs, starts.tolist())):
+            mask = which == number
+            if mask.any():
+                parts.append((mask, run, slots[mask] - start))
+        return parts
 
     def _tick(self, count: int) -> np.ndarray:
         stamps = np.arange(self._clock, self._clock + count, dtype=np.int64)
         self._clock += count
         return stamps
 
-    def _empty_run(self, n_objectives: int) -> _Run:
-        return _Run(
-            np.empty(0, dtype=self._key_dtype),
-            np.empty((0, n_objectives)),
-            np.empty(0, dtype=bool),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int8),
-            None if self.max_entries is None else np.empty(0, dtype=np.int64),
-        )
-
     def _run(self, keys, objectives, feasible, violations, source: int) -> _Run:
-        objectives = np.asarray(objectives, dtype=np.float64)
-        if self._n_objectives is None:
-            self._n_objectives = objectives.shape[1]
-            self._main = self._empty_run(self._n_objectives)
-            self._tail = self._empty_run(self._n_objectives)
+        bounded = self.max_entries is not None
         return _Run(
             keys,
-            objectives,
+            np.asarray(objectives, dtype=np.float64),
             np.asarray(feasible, dtype=bool),
             np.asarray(violations, dtype=np.int64),
             np.full(len(keys), source, dtype=np.int8),
-            None if self.max_entries is None else self._tick(len(keys)),
+            self._tick(len(keys)) if bounded else None,
+            np.zeros(len(keys), dtype=bool) if bounded else None,
         )
 
     def _compact(self) -> None:
-        """Merge the tail run into main."""
-        if not len(self._tail):
-            return
-        if not len(self._main):
-            self._main = self._tail
-        else:
-            self._main.merge(self._tail)
-        self._tail = self._empty_run(self._n_objectives or 0)
+        """Merge every run into one."""
+        runs = self._runs
+        while len(runs) > 1:
+            newer = runs.pop()
+            runs[-1] = _merge(runs[-1], newer)

@@ -90,7 +90,9 @@ class EngineStats:
         node_cache_evictions: per-node stage results evicted by the LRU
             bound of the node cache.
         column_memo_evictions: column rows evicted by the LRU bound of the
-            engine's row store (``column_memo_max_entries``).
+            engine's row store (``column_memo_max_entries``), which counts
+            the rows columnar batches computed and segments supplied; rows
+            of memoised designs stay outside it and are never evicted.
         rows_loaded_from_disk: column rows a persistent cache segment
             (:mod:`repro.engine.persist`) added to the engine's row store
             (rows the engine already held are not counted) — warm-start

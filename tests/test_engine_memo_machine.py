@@ -6,8 +6,8 @@ interleavings of its serving paths — ``evaluate``, ``evaluate_many`` and
 attribution read, spill to a cache directory and reload into a fresh
 engine — on engines with and without an LRU-bounded row store, on the
 vectorized and the scalar compute paths, alone or sharing a
-``SharedGenotypeCache`` with a peer engine of the same model.  After every step three things
-must hold:
+``SharedGenotypeCache`` with a peer engine of the same model.  After every
+step four things must hold:
 
 * every row the engine served equals the uncached scalar
   ``compute_design`` row of its genotype, bitwise;
@@ -17,7 +17,9 @@ must hold:
 * ``cached_row_flags`` agrees with the rows the engine actually holds: the
   next batch computes (or takes from the shared cache) exactly the distinct
   genotypes it flagged uncached (and, unbounded, flags exactly the
-  genotypes ever evaluated).
+  genotypes ever evaluated);
+* every genotype served as a design object stays cached, even past an
+  LRU bound (its row is pinned outside the bound).
 
 The space is the 64-design two-node problem of the fault suite, small
 enough that random batches collide often.
@@ -102,6 +104,8 @@ class EngineMemoMachine(RuleBasedStateMachine):
         beacon_problem(self.engine)
         # Genotypes the engine holds, tracked for unbounded engines only.
         self.held = {PROBE}
+        # Genotypes served as design objects: memoised, so never evicted.
+        self.designed = {PROBE}
 
     @initialize(
         bound=st.sampled_from([None, 1, 3, 8]),
@@ -133,11 +137,13 @@ class EngineMemoMachine(RuleBasedStateMachine):
     def evaluate(self, genotype) -> None:
         self._check_designs([genotype], [self.engine.evaluate(genotype)])
         self.held.add(genotype)
+        self.designed.add(genotype)
 
     @rule(batch=batches)
     def evaluate_many(self, batch) -> None:
         self._check_designs(batch, self.engine.evaluate_many(batch))
         self.held.update(batch)
+        self.designed.update(batch)
 
     @rule(batch=batches, prune=st.booleans())
     def evaluate_many_columnar(self, batch, prune) -> None:
@@ -158,6 +164,7 @@ class EngineMemoMachine(RuleBasedStateMachine):
         result = self.engine.evaluate_many_columnar(batch)
         self._check_designs(batch, result.materialise())
         self.held.update(batch)
+        self.designed.update(batch)
 
     @precondition(lambda self: self.peer is not None)
     @rule(batch=batches)
@@ -235,6 +242,11 @@ class EngineMemoMachine(RuleBasedStateMachine):
         if self.bound is not None:
             assert self.engine.column_memo_size <= self.bound
 
+    @invariant()
+    def memoised_designs_stay_cached(self) -> None:
+        designed = sorted(self.designed)
+        assert self.engine.cached_row_flags(designed) == [True] * len(designed)
+
 
 EngineMemoMachine.TestCase.settings = settings(
     max_examples=150,
@@ -251,15 +263,15 @@ def test_bounded_store_is_exactly_lru(bound, stream):
     """Columnar batches against an ``OrderedDict`` LRU model: a batch first
     touches its hits, then inserts its misses (each in first-occurrence
     order), evicting the least recently used row on every overflow; every
-    eviction is counted."""
+    eviction is counted.  The problem's probe row, memoised as a design at
+    construction, stays cached outside the bound."""
     engine = EvaluationEngine(column_memo_max_entries=bound)
     beacon_problem(engine)
-    engine.clear_caches()  # start from an empty store, probe row dropped
     model: OrderedDict[tuple[int, ...], None] = OrderedDict()
-    evictions = engine.stats.column_memo_evictions
+    evictions = 0
     for batch in stream:
         engine.evaluate_many_columnar(batch)
-        distinct = list(dict.fromkeys(batch))
+        distinct = [g for g in dict.fromkeys(batch) if g != PROBE]
         misses = [genotype for genotype in distinct if genotype not in model]
         for genotype in distinct:
             if genotype in model:
@@ -269,8 +281,11 @@ def test_bounded_store_is_exactly_lru(bound, stream):
             if len(model) > bound:
                 model.popitem(last=False)
                 evictions += 1
-        assert engine.cached_row_flags(SPACE) == [g in model for g in SPACE]
+        assert engine.cached_row_flags(SPACE) == [
+            g in model or g == PROBE for g in SPACE
+        ]
         assert engine.stats.column_memo_evictions == evictions
+        assert engine.column_memo_size == len(model)
 
 
 def test_rank_keys_span_several_words_in_genotype_order():
@@ -339,8 +354,8 @@ def test_twelve_node_space_is_served_from_the_store():
 
 
 def test_interleaved_inserts_keep_the_store_sorted():
-    """Batches inserted in random key order (tail merges, tail-into-main
-    compactions) against a dict model of the stored rows."""
+    """Batches inserted in random key order (interleaving run merges)
+    against a dict model of the stored rows."""
     memo = ColumnMemo([40, 40, 40])
     rng = np.random.default_rng(5)
     order = rng.permutation(40**3)[:12_000]

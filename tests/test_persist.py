@@ -674,8 +674,7 @@ class TestColumnMemoBound:
 
     def test_eviction_is_least_recently_used(self):
         engine = EvaluationEngine(column_memo_max_entries=2)
-        beacon_problem(engine)
-        engine.clear_caches()  # drop the construction probe's row
+        beacon_problem(engine)  # its probe row is a design, outside the bound
         a, b, c = (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, 0)
         engine.evaluate_many_columnar([a, b])
         assert engine.cached_row_flags([a, b, c]) == [True, True, False]
@@ -683,6 +682,18 @@ class TestColumnMemoBound:
         engine.evaluate_many_columnar([c])  # evicts b, the LRU row
         assert engine.cached_row_flags([a, b, c]) == [True, False, True]
         assert engine.stats.column_memo_evictions == 1
+
+    def test_bounded_sweep_counts_only_columnar_rows(self):
+        # The probe genotype is memoised as a design at construction: the
+        # sweep serves it from there and the bound never counts it, so the
+        # 63 other rows overflow a bound of 8 exactly 55 times.  Materialising
+        # the front afterwards evicts nothing.
+        engine = EvaluationEngine(column_memo_max_entries=8)
+        problem = beacon_problem(engine)
+        run_algorithm(ExhaustiveSearch(problem, chunk_size=16))
+        assert engine.stats.model_evaluations == problem.space.size
+        assert engine.stats.column_memo_evictions == problem.space.size - 1 - 8
+        assert engine.column_memo_size == 8
 
     def test_bounded_sweep_keeps_the_front(self):
         engine = EvaluationEngine(column_memo_max_entries=8)
@@ -784,6 +795,32 @@ class TestPruneCacheDir:
         # Age GC reads the mtime as the last use: the segment survives.
         assert prune_cache_dir(tmp_path, max_age_s=3600) == []
         assert path.exists()
+
+    @pytest.mark.parametrize("race", [False, True])
+    def test_segment_removed_under_a_warm_engine_is_rewritten(
+        self, tmp_path, monkeypatch, race
+    ):
+        # A concurrent prune_cache_dir removes the segment a warm engine
+        # loaded — before its spill, or between the spill's identity check
+        # and the mtime refresh: the spill writes the rows back either way.
+        sweep(EvaluationEngine(cache_dir=tmp_path))
+        path = next(tmp_path.glob("*.wbsncache"))
+        before = path.read_bytes()
+        engine = EvaluationEngine(cache_dir=tmp_path)
+        ExhaustiveSearch(beacon_problem(engine), chunk_size=16).run()
+        assert engine.stats.model_evaluations == 0
+        if race:
+            utime = os.utime
+
+            def pruned_first(target, *args, **kwargs):
+                Path(target).unlink()
+                return utime(target, *args, **kwargs)
+
+            monkeypatch.setattr(os, "utime", pruned_first)
+        else:
+            path.unlink()
+        assert engine.spill_persistent_cache() == path
+        assert path.read_bytes() == before
 
     def test_spill_with_new_rows_rewrites_the_union(self, tmp_path):
         # A warm engine that computes rows beyond its segment writes the
